@@ -1,9 +1,9 @@
 #include "driver.h"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
-#include <cstdio>
+#include <condition_variable>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include <unistd.h>
 
@@ -234,13 +235,56 @@ renderManifest(const ManifestFields &m)
     return os.str();
 }
 
-/** Shard file basename, zero-padded for sorted-order loading. */
-std::string
-shardStem(std::size_t shard)
+/**
+ * Validate-or-write the manifest: resuming a directory that belongs to a
+ * *different* sweep must fail loudly, never mix results. Every mismatch
+ * names the offending field and both values.
+ */
+void
+pinManifest(const fs::path &manifestPath, const ManifestFields &manifest)
 {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "shard_%04zu", shard);
-    return buf;
+    if (!fs::exists(manifestPath)) {
+        // Durable atomic create. Two workers racing here both render
+        // identical bytes, so the second rename is a no-op overwrite.
+        fsio::atomicWriteFile(manifestPath.string(),
+                              renderManifest(manifest));
+        return;
+    }
+    std::ifstream in(manifestPath);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    const std::string ctx = "manifest " + manifestPath.string();
+    if (text.empty())
+        throw std::runtime_error(
+            ctx + ": file is empty (torn or zeroed write) — delete "
+                  "it to restart the sweep");
+    const auto check = [&](const std::string &key, std::uint64_t expected) {
+        const std::uint64_t got = jsonio::uintField(text, key, ctx);
+        if (got != expected)
+            throw std::runtime_error(
+                ctx + ": '" + key + "' is " + std::to_string(got) +
+                ", requested sweep has " + std::to_string(expected) +
+                " — not the same sweep");
+    };
+    const auto checkString = [&](const std::string &key,
+                                 const std::string &expected) {
+        const std::string got = jsonio::stringField(text, key, ctx);
+        if (got != expected)
+            throw std::runtime_error(
+                ctx + ": '" + key + "' is \"" + got +
+                "\", requested sweep has \"" + expected +
+                "\" — not the same sweep");
+    };
+    checkString("env", manifest.env);
+    checkString("agent", manifest.agent);
+    check("configCount", manifest.configCount);
+    check("shardSize", manifest.shardSize);
+    check("baseSeed", manifest.baseSeed);
+    check("maxSamples", manifest.maxSamples);
+    check("stopWhenSatisfied", manifest.stopWhenSatisfied);
+    check("batchEval", manifest.batchEval);
+    check("exportDataset", manifest.exportDataset);
+    check("configsHash", manifest.hash);
 }
 
 /** One per-configuration result line of a shard .jsonl file. */
@@ -333,6 +377,21 @@ hasField(const std::string &line, const char *key)
            std::string::npos;
 }
 
+/**
+ * Shard stem of a rename-staging file name (`shard_NNNN.<file>.tmp*`),
+ * or "" for any other name. The stem ends at the first '.', so a claim
+ * of shard_1000 never matches — and deletes — shard_10000's files.
+ */
+std::string
+stagingStem(const std::string &name)
+{
+    const auto dot = name.find('.');
+    if (name.rfind("shard_", 0) != 0 || dot == std::string::npos ||
+        name.find(".tmp", dot) == std::string::npos)
+        return {};
+    return name.substr(0, dot);
+}
+
 /** Per-config attempt history recovered from a quarantine ledger. */
 struct LedgerEntry
 {
@@ -340,6 +399,742 @@ struct LedgerEntry
     std::string failureClass;   ///< of the latest attempt
     std::string error;          ///< of the latest attempt
 };
+
+/** A claimed shard, from open to finalize. */
+struct OpenShard
+{
+    std::size_t shard = 0;
+    std::size_t lo = 0;  ///< first config
+    std::size_t hi = 0;  ///< one past the last config
+    std::unique_ptr<ShardLease> lease;
+    fs::path jsonlPath;
+    fs::path csvPath;
+    std::string csvTmp;  ///< the streaming CSV, renamed at finalize
+    std::unique_ptr<StreamingDatasetWriter> writer;  ///< exportDataset
+    std::unique_ptr<ShardPartialWriter> partial;
+    std::vector<std::string> lines;  ///< final lines, by config - lo
+
+    /** Durable attempt history of this shard's poison candidates. */
+    std::map<std::size_t, LedgerEntry> ledger;
+    fs::path quarantinePath;
+    std::size_t ledgerValidBytes = 0;
+    std::mutex ledgerMutex;
+    std::unique_ptr<ShardPartialWriter> ledgerWriter;  ///< lazily opened
+
+    std::vector<std::size_t> missing;  ///< configs to run, ascending
+    // Guarded by the pipeline mutex.
+    std::size_t started = 0;  ///< missing[0, started) taken by a slot
+    std::size_t settled = 0;  ///< of those, persisted or skipped
+};
+
+/**
+ * The shard pipeline of one runSweepSharded invocation. Every worker
+ * slot runs work(): it takes the next unstarted run of the oldest open
+ * shard; when no open shard has one, a single slot claims and opens the
+ * next shard while the others keep running; the slot that settles a
+ * shard's last run finalizes and releases it. Runs are pulled, never
+ * pre-assigned, so a slot the pool never schedules holds no work.
+ *
+ * A failure on any slot stops every slot and leaves each open shard's
+ * lease and partial files in place, exactly as a crash would.
+ */
+class ShardPipeline
+{
+  public:
+    ShardPipeline(const EnvFactory &env_factory, const AgentBuilder &builder,
+                  const std::vector<HyperParams> &configs,
+                  const RunConfig &run_config,
+                  const ShardedSweepOptions &options,
+                  const Environment &meta_env, const std::string &agent_name,
+                  std::size_t num_threads, ShardedSweepResult &result)
+        : envFactory_(env_factory), builder_(builder), configs_(configs),
+          options_(options), metaEnv_(meta_env), agentName_(agent_name),
+          dir_(options.directory), result_(result),
+          shardCount_(result.shardCount), envs_(num_threads),
+          state_(shardCount_, ShardState::Unclaimed),
+          unclaimed_(shardCount_)
+    {
+        // The engine persists scalars + streamed trajectories only;
+        // retaining per-run curves/logs in memory would defeat the
+        // bounded-memory contract.
+        runConfig_ = run_config;
+        runConfig_.recordRewardHistory = false;
+        runConfig_.logTrajectory = options.exportDataset;
+
+        leaseOpts_.workerId = options.workerId.empty()
+                                  ? "pid:" + std::to_string(::getpid())
+                                  : options.workerId;
+        leaseOpts_.ttlMs = options.leaseTtlMs;
+        leaseOpts_.heartbeatMs = options.heartbeatMs;
+
+        // One listing per invocation finds the rename-staging files that
+        // dead owners left behind; each claim removes its own shard's.
+        for (const auto &entry : fs::directory_iterator(dir_))
+            if (std::string stem =
+                    stagingStem(entry.path().filename().string());
+                !stem.empty())
+                staging_[stem].push_back(entry.path());
+    }
+
+    /** One worker slot's loop; returns once no work is left for it. */
+    void work(std::size_t slot);
+
+    /** Every shard finalized (here or by a peer)? */
+    bool complete() const
+    {
+        return std::all_of(state_.begin(), state_.end(), [](ShardState s) {
+            return s == ShardState::Done;
+        });
+    }
+
+  private:
+    enum class ShardState : std::uint8_t { Unclaimed, Open, Done };
+
+    struct Claim
+    {
+        std::unique_ptr<OpenShard> shard;  ///< null unless one opened
+        bool capReached = false;  ///< stopped at options.maxShards
+    };
+
+    Claim claimNext();
+    std::unique_ptr<OpenShard> openShard(std::size_t shard,
+                                         std::unique_ptr<ShardLease> lease);
+    void runConfig(OpenShard &s, std::size_t slot, std::size_t config);
+    bool finalizeShard(OpenShard &s);
+
+    void ingestFinal(std::size_t shard);
+    void checkRecord(const OpenShard &s, const PartialRunRecord &rec,
+                     const std::string &ctx, const char *files) const;
+    void settle(std::unique_lock<std::mutex> &lock, OpenShard &s);
+    void close(const OpenShard &s, bool finalized);
+    bool finalsExist(std::size_t shard) const;
+
+    /** Run `fn`; on a throw, stop every slot before rethrowing. */
+    template <typename Fn>
+    auto guarded(Fn &&fn) -> decltype(fn())
+    {
+        try {
+            return fn();
+        } catch (...) {
+            {
+                std::lock_guard<std::mutex> lock(mutex_);
+                stopped_ = true;
+            }
+            wake_.notify_all();
+            throw;
+        }
+    }
+
+    std::size_t lo(std::size_t shard) const
+    {
+        return shard * options_.shardSize;
+    }
+    std::size_t hi(std::size_t shard) const
+    {
+        return std::min(configs_.size(), lo(shard) + options_.shardSize);
+    }
+    fs::path shardFile(std::size_t shard, const char *suffix) const
+    {
+        return dir_ / (shardStem(shard) + suffix);
+    }
+
+    const EnvFactory &envFactory_;
+    const AgentBuilder &builder_;
+    const std::vector<HyperParams> &configs_;
+    const ShardedSweepOptions &options_;
+    const Environment &metaEnv_;
+    const std::string &agentName_;
+    const fs::path dir_;
+    ShardedSweepResult &result_;
+    const std::size_t shardCount_;
+    RunConfig runConfig_;
+    LeaseOptions leaseOpts_;
+
+    /** One private environment per slot, built on its first run and
+     *  reused across every shard (same determinism argument as
+     *  runSweepParallel). */
+    std::vector<std::unique_ptr<Environment>> envs_;
+
+    // Touched only by the single in-flight claimer.
+    std::map<std::string, std::vector<fs::path>> staging_;
+    std::size_t cursor_ = 0;       ///< next shard the claim scan visits
+    bool passProgress_ = false;    ///< this scan pass ingested or opened
+
+    std::mutex mutex_;
+    std::condition_variable wake_;
+    std::vector<ShardState> state_;
+    std::deque<std::unique_ptr<OpenShard>> open_;  ///< oldest claim first
+    std::size_t unclaimed_;
+    bool claiming_ = false;
+    bool capped_ = false;      ///< maxShards reached, nothing open
+    bool capBlocked_ = false;  ///< maxShards reached by open shards
+    std::chrono::steady_clock::time_point retryAt_{};  ///< claim back-off
+    bool stopped_ = false;
+};
+
+bool
+ShardPipeline::finalsExist(std::size_t shard) const
+{
+    return fs::exists(shardFile(shard, ".jsonl")) &&
+           (!options_.exportDataset || fs::exists(shardFile(shard, ".csv")));
+}
+
+/**
+ * Ingest a completed shard's final .jsonl into the result arrays and
+ * mark the shard done. Corruption (truncation, appended garbage,
+ * foreign results) fails loudly with the offending line number — never
+ * a silent mis-resume.
+ */
+void
+ShardPipeline::ingestFinal(std::size_t shard)
+{
+    const fs::path jsonlPath = shardFile(shard, ".jsonl");
+    const std::size_t first = lo(shard), last = hi(shard);
+    std::ifstream in(jsonlPath);
+    std::string line;
+    std::size_t next = first;
+    std::size_t lineno = 0;
+    while (std::getline(in, line)) {
+        ++lineno;
+        const std::string ctx = "shard results " + jsonlPath.string() +
+                                ":" + std::to_string(lineno);
+        if (line.empty())
+            throw std::runtime_error(
+                ctx + ": empty line (truncated write?) — delete "
+                      "the shard files to re-run it");
+        // A structurally whole record ends in '}'; a mid-line
+        // truncation otherwise parses as a silently shorter bestAction
+        // array.
+        if (line.back() != '}')
+            throw std::runtime_error(
+                ctx + ": line does not end in '}' (truncated write?) — "
+                      "delete the shard files to re-run it");
+        const std::uint64_t idx = jsonio::uintField(line, "config", ctx);
+        if (next >= last || idx != next)
+            throw std::runtime_error(
+                ctx + ": unexpected config index " + std::to_string(idx) +
+                " (expected " +
+                (next >= last ? std::string("end of shard")
+                              : std::to_string(next)) +
+                ") — delete the shard files to re-run it");
+        result_.bestRewards[idx] =
+            jsonio::doubleField(line, "bestReward", ctx);
+        result_.samplesUsed[idx] = static_cast<std::size_t>(
+            jsonio::uintField(line, "samplesUsed", ctx));
+        result_.bestActions[idx] =
+            jsonio::doubleArrayField(line, "bestAction", ctx);
+        result_.quarantined[idx] =
+            hasField(line, "quarantined") &&
+                    jsonio::uintField(line, "quarantined", ctx) != 0
+                ? 1
+                : 0;
+        const std::uint64_t seed = jsonio::uintField(line, "seed", ctx);
+        if (seed != result_.seeds[idx])
+            throw std::runtime_error(
+                ctx + ": seed is " + std::to_string(seed) + ", expected " +
+                std::to_string(result_.seeds[idx]) + " at config " +
+                std::to_string(idx) +
+                " — delete the shard files to re-run it");
+        ++next;
+    }
+    if (next != last)
+        throw std::runtime_error(
+            "shard results " + jsonlPath.string() + ":" +
+            std::to_string(lineno) + ": holds " +
+            std::to_string(next - first) + " of " +
+            std::to_string(last - first) +
+            " configs — delete the shard files to re-run it");
+
+    // Sweep up leftovers of a worker that died after its final rename.
+    std::error_code ec;
+    fs::remove(shardFile(shard, ".partial.jsonl"), ec);
+    fs::remove(shardFile(shard, ".partial.csvf"), ec);
+
+    std::lock_guard<std::mutex> lock(mutex_);
+    state_[shard] = ShardState::Done;
+    --unclaimed_;
+    ++result_.shardsSkipped;
+}
+
+/**
+ * Claim step: scan on from the cursor for the next shard this worker
+ * can own, re-ingesting shards that peers (or earlier invocations)
+ * finished on the way, and claim its lease. Runs on one slot at a time,
+ * outside the pipeline mutex.
+ */
+ShardPipeline::Claim
+ShardPipeline::claimNext()
+{
+    for (;; ++cursor_) {
+        if (cursor_ == shardCount_) {
+            // End of a pass: rescan at once while passes make progress;
+            // otherwise every remaining shard is open here or leased by
+            // a live peer, and the caller backs off.
+            cursor_ = 0;
+            if (!std::exchange(passProgress_, false))
+                return {};
+        }
+        const std::size_t shard = cursor_;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (state_[shard] != ShardState::Unclaimed)
+                continue;
+        }
+        if (finalsExist(shard)) {
+            ingestFinal(shard);
+            std::error_code ec;
+            fs::remove(shardFile(shard, ".lease"), ec);
+            passProgress_ = true;
+            continue;
+        }
+        if (options_.maxShards != 0) {
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (result_.shardsRun + open_.size() >= options_.maxShards)
+                return {nullptr, true};  // interrupted by request
+        }
+
+        auto lease = ShardLease::tryAcquire(options_.directory, shard,
+                                            leaseOpts_);
+        if (!lease)
+            continue;  // a live peer owns it; move on
+        if (lease->stolen())
+            ++result_.shardsStolen;
+        if (faultHooks().afterShardClaimed)
+            faultHooks().afterShardClaimed(leaseOpts_.workerId, shard);
+        passProgress_ = true;
+
+        // A peer may have finished and released between our scan and
+        // the claim; re-check under ownership.
+        if (finalsExist(shard)) {
+            ingestFinal(shard);
+            lease->release();
+            continue;
+        }
+        ++cursor_;
+        return {openShard(shard, std::move(lease))};
+    }
+}
+
+/**
+ * Open/repair step: clean the previous owner's staging files, re-ingest
+ * every run it durably appended, and open the partial and dataset
+ * writers for the configs still missing.
+ */
+std::unique_ptr<OpenShard>
+ShardPipeline::openShard(std::size_t shard,
+                         std::unique_ptr<ShardLease> lease)
+{
+    auto s = std::make_unique<OpenShard>();
+    s->shard = shard;
+    s->lo = lo(shard);
+    s->hi = hi(shard);
+    s->lease = std::move(lease);
+    s->jsonlPath = shardFile(shard, ".jsonl");
+    s->csvPath = shardFile(shard, ".csv");
+    const fs::path partialJsonl = shardFile(shard, ".partial.jsonl");
+    const fs::path partialCsvf = shardFile(shard, ".partial.csvf");
+
+    // Discard the previous owners' half-written rename staging files.
+    // The listing taken at start-up has every one a released or absent
+    // lease can leave; a stolen lease's owner may have staged more since.
+    const std::string stem = shardStem(shard);
+    std::error_code ec;
+    if (s->lease->stolen()) {
+        for (const auto &entry : fs::directory_iterator(dir_))
+            if (stagingStem(entry.path().filename().string()) == stem)
+                fs::remove(entry.path(), ec);
+    } else if (const auto it = staging_.find(stem); it != staging_.end()) {
+        for (const auto &path : it->second)
+            fs::remove(path, ec);
+    }
+    staging_.erase(stem);
+    // exportDataset with a .jsonl but no .csv (manual deletion): drop
+    // the orphan marker and re-run the shard whole.
+    if (fs::exists(s->jsonlPath) && !finalsExist(shard))
+        fs::remove(s->jsonlPath);
+
+    // Repair pass: re-ingest every run the previous owner durably
+    // appended. A run is durable when its checksummed result line is
+    // intact AND (with exportDataset) its trajectory frame is too; the
+    // writers order frame-before-line, so the line is normally the
+    // deciding record.
+    const PartialReadResult pr =
+        readPartialResultLines(partialJsonl.string());
+    PartialCsvReadResult cr;
+    if (options_.exportDataset)
+        cr = readPartialCsvFrames(partialCsvf.string());
+
+    std::map<std::size_t, const PartialCsvRecord *> frames;
+    for (const auto &rec : cr.records)
+        frames.emplace(rec.config, &rec);  // keep-first dedupe
+
+    const std::string partialCtx = "shard partial " + partialJsonl.string();
+    std::map<std::size_t, std::string> durable;
+    for (const auto &rec : pr.records) {
+        checkRecord(*s, rec, partialCtx, "partial files");
+        if (durable.count(rec.config))
+            continue;  // duplicate from a double-execution race
+        if (options_.exportDataset && !frames.count(rec.config))
+            continue;  // line durable but frame lost: re-run it
+        durable.emplace(rec.config, rec.resultLine);
+    }
+
+    if (options_.exportDataset) {
+        s->csvTmp = fsio::uniqueTmpPath(s->csvPath.string());
+        s->writer = std::make_unique<StreamingDatasetWriter>(
+            s->csvTmp, metaEnv_.actionSpace(), metaEnv_.metricNames(),
+            s->lo, s->hi - s->lo);
+    }
+
+    // Pre-feed repaired runs into the result arrays, the final line
+    // buffer and the streaming CSV; then truncate the torn partial tails
+    // and keep appending where the dead worker stopped.
+    s->lines.resize(s->hi - s->lo);
+    for (const auto &[config, line] : durable) {
+        result_.bestRewards[config] =
+            jsonio::doubleField(line, "bestReward", partialCtx);
+        result_.samplesUsed[config] = static_cast<std::size_t>(
+            jsonio::uintField(line, "samplesUsed", partialCtx));
+        result_.bestActions[config] =
+            jsonio::doubleArrayField(line, "bestAction", partialCtx);
+        // A durable gap record repairs like any other run: the previous
+        // owner already paid the attempts, never re-run.
+        result_.quarantined[config] = hasField(line, "quarantined") ? 1 : 0;
+        s->lines[config - s->lo] = line;
+        if (s->writer)
+            s->writer->appendSerialized(config, frames.at(config)->block);
+    }
+    result_.runsRepaired += durable.size();
+
+    s->partial = std::make_unique<ShardPartialWriter>(
+        partialJsonl.string(),
+        options_.exportDataset ? partialCsvf.string() : std::string(),
+        pr.validBytes, cr.validBytes);
+
+    // Durable attempt history of this shard's poison candidates: what
+    // previous owners already tried, by config. The ledger outlives
+    // steals *and* shard completion (it is the quarantine post-mortem
+    // record), so attempt budgets are fleet-wide.
+    s->quarantinePath = shardFile(shard, ".quarantine.jsonl");
+    if (options_.attempts.isolated()) {
+        const PartialReadResult qr =
+            readPartialResultLines(s->quarantinePath.string());
+        s->ledgerValidBytes = qr.validBytes;
+        const std::string ctx =
+            "shard quarantine " + s->quarantinePath.string();
+        for (const auto &rec : qr.records) {
+            checkRecord(*s, rec, ctx, "ledger");
+            const auto attempt = static_cast<std::size_t>(
+                jsonio::uintField(rec.resultLine, "attempt", ctx));
+            LedgerEntry &entry = s->ledger[rec.config];
+            if (attempt > entry.attempts) {
+                entry.attempts = attempt;
+                entry.failureClass =
+                    jsonio::stringField(rec.resultLine, "class", ctx);
+                entry.error =
+                    jsonio::stringField(rec.resultLine, "error", ctx);
+            }
+        }
+    }
+
+    s->missing.reserve(s->hi - s->lo - durable.size());
+    for (std::size_t i = s->lo; i < s->hi; ++i)
+        if (!durable.count(i))
+            s->missing.push_back(i);
+    return s;
+}
+
+/**
+ * A record recovered from a shard's partial file or ledger must belong
+ * to the shard and to this sweep; otherwise fail naming `ctx` and the
+ * files to delete.
+ */
+void
+ShardPipeline::checkRecord(const OpenShard &s, const PartialRunRecord &rec,
+                           const std::string &ctx, const char *files) const
+{
+    const std::string remedy =
+        std::string(" — delete the ") + files + " to re-run it";
+    if (rec.config < s.lo || rec.config >= s.hi)
+        throw std::runtime_error(
+            ctx + ": config index " + std::to_string(rec.config) +
+            " is outside this shard [" + std::to_string(s.lo) + ", " +
+            std::to_string(s.hi) + ")" + remedy);
+    const std::uint64_t seed = jsonio::uintField(rec.resultLine, "seed", ctx);
+    if (seed != result_.seeds[rec.config])
+        throw std::runtime_error(
+            ctx + ": seed is " + std::to_string(seed) + ", expected " +
+            std::to_string(result_.seeds[rec.config]) + " at config " +
+            std::to_string(rec.config) + remedy);
+}
+
+/**
+ * Run-one-config step: execute one configuration of an open shard under
+ * the attempt policy (isolation, retries, quarantine) and persist it.
+ */
+void
+ShardPipeline::runConfig(OpenShard &s, std::size_t slot, std::size_t i)
+{
+    // Fenced while mid-shard (a peer judged us dead and stole the
+    // lease): stop burning work, the finalize step yields to the
+    // thief's results.
+    if (s.lease->lost())
+        return;
+    const std::uint64_t seed = result_.seeds[i];
+    const RunAttemptPolicy &pol = options_.attempts;
+    const std::size_t maxAttempts = std::max<std::size_t>(1, pol.maxAttempts);
+    const bool isolated = pol.isolated();
+    const auto persisted = [&] {
+        if (faultHooks().afterRunPersisted)
+            faultHooks().afterRunPersisted(leaseOpts_.workerId, s.shard, i);
+    };
+
+    // The ledger is only read when isolated, so it is empty otherwise.
+    std::size_t attempt = 0;
+    std::string failClass, failError;
+    if (const auto it = s.ledger.find(i); it != s.ledger.end()) {
+        attempt = it->second.attempts;
+        failClass = it->second.failureClass;
+        failError = it->second.error;
+    }
+
+    bool succeeded = false;
+    RunResult run;
+    while (attempt < maxAttempts) {
+        if (attempt > 0) {
+            const std::uint64_t delayMs =
+                attemptBackoffMs(pol, seed, attempt);
+            if (delayMs)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(delayMs));
+        }
+        bool ok = false;
+        try {
+            // Arm the deadline before anything the attempt executes
+            // (including the beforeRun hook): a hang anywhere inside the
+            // attempt counts against it, and the lease watchdog sees the
+            // overstay even if no checkpoint ever runs.
+            resilience::CancelScope scope(leaseOpts_.workerId,
+                                          isolated ? pol.runDeadlineMs : 0);
+            if (faultHooks().beforeRun)
+                faultHooks().beforeRun(leaseOpts_.workerId, s.shard, i);
+            auto &env = envs_[slot];
+            if (!env)
+                env = envFactory_();
+            auto agent = builder_(env->actionSpace(), configs_[i], seed);
+            run = runSearch(*env, *agent, runConfig_);
+            ok = true;
+        } catch (const WorkerKilled &) {
+            throw;  // injected SIGKILL: never isolated
+        } catch (const RunTimeout &e) {
+            if (!isolated)
+                throw;
+            failClass = "timeout";
+            failError = e.what();
+        } catch (const std::exception &e) {
+            if (!isolated)
+                throw;
+            failClass = "throw";
+            failError = e.what();
+        }
+        if (ok) {
+            succeeded = true;
+            break;
+        }
+        ++attempt;
+        // The attempt count becomes durable *before* any retry: a thief
+        // that steals this shard resumes the count where it stands —
+        // without this, every thief restarts the budget and a poison
+        // config livelocks the fleet.
+        {
+            std::lock_guard<std::mutex> lock(s.ledgerMutex);
+            if (!s.ledgerWriter)
+                s.ledgerWriter = std::make_unique<ShardPartialWriter>(
+                    s.quarantinePath.string(), std::string(),
+                    s.ledgerValidBytes, 0);
+            s.ledgerWriter->append(
+                i,
+                renderAttemptLine(i, seed, attempt, failClass, failError,
+                                  leaseOpts_.workerId),
+                std::string());
+        }
+        persisted();
+    }
+
+    std::string &line = s.lines[i - s.lo];
+    std::string block;
+    if (succeeded) {
+        result_.bestRewards[i] = run.bestReward;
+        result_.bestActions[i] = run.bestAction;
+        result_.samplesUsed[i] = run.samplesUsed;
+        line = renderResultLine(i, seed, configs_[i], run);
+        if (s.writer)
+            block = s.writer->serializeBlock(run.trajectory);
+    } else {
+        if (!pol.quarantine)
+            throw std::runtime_error(
+                "sweep config " + std::to_string(i) + " failed after " +
+                std::to_string(attempt) + " attempts (" + failClass +
+                "): " + failError);
+        // Quarantine: the configuration is accounted for with a
+        // deterministic gap record (result line + empty dataset block),
+        // so the sweep completes degraded and the finals stay
+        // byte-identical on every worker.
+        line = renderGapLine(i, seed, configs_[i], attempt, failClass,
+                             failError);
+        result_.quarantined[i] = 1;
+        if (s.writer)
+            block = s.writer->serializeBlock(TrajectoryLog(
+                        metaEnv_.name(), agentName_, configs_[i].str())) +
+                    "# quarantined=1\n";
+    }
+    // Run-granular durability: persist before reporting.
+    s.partial->append(i, line, block);
+    persisted();
+    if (s.writer)
+        s.writer->appendSerialized(i, block);
+}
+
+/**
+ * Finalize step: rename the shard's finals into place and release its
+ * lease. Returns false when this worker was fenced (a peer stole the
+ * lease and finishes, or finished, the shard); the shard's finals are
+ * then the peer's to write, and a later scan ingests them.
+ */
+bool
+ShardPipeline::finalizeShard(OpenShard &s)
+{
+    const auto yielded = [&] {
+        return s.lease->lost() || finalsExist(s.shard);
+    };
+    // A fenced stale owner must never reach the renames at all:
+    // historically both sides produced byte-identical shards, but an
+    // isolated run that overstays its deadline here while the thief
+    // *succeeds* on the same config would finalize a gap record over
+    // the thief's real result. Yield first.
+    if (yielded()) {
+        s.lease->release();  // ownership-checked no-op if stolen
+        return false;
+    }
+
+    // Atomic completion: stream-close + rename the CSV first, then the
+    // .jsonl — its presence marks the shard done. Both renames land
+    // from unique tmp names, so even a fenced stale owner racing the
+    // thief only ever renames byte-identical content.
+    try {
+        std::string all;
+        for (const auto &line : s.lines)
+            all += line;
+        if (s.writer) {
+            s.writer->close();
+            fs::rename(s.csvTmp, s.csvPath);
+        }
+        fsio::atomicWriteFile(s.jsonlPath.string(), all);
+    } catch (const std::exception &) {
+        // A peer that stole our stale lease may have removed our staging
+        // files; if it finished the shard (or our lease is gone), yield
+        // to it.
+        if (yielded()) {
+            s.lease->release();
+            return false;
+        }
+        throw;
+    }
+    s.partial->closeAndRemove();
+    s.lease->release();
+    return true;
+}
+
+/** With `lock` held: finalize `s` if its last run just settled. */
+void
+ShardPipeline::settle(std::unique_lock<std::mutex> &lock, OpenShard &s)
+{
+    if (stopped_ || s.settled != s.missing.size())
+        return;
+    lock.unlock();
+    const bool finalized = guarded([&] { return finalizeShard(s); });
+    lock.lock();
+    close(s, finalized);
+}
+
+/** With the mutex held: retire an open shard after its finalize step. */
+void
+ShardPipeline::close(const OpenShard &s, bool finalized)
+{
+    if (finalized) {
+        state_[s.shard] = ShardState::Done;
+        ++result_.shardsRun;
+    } else {
+        state_[s.shard] = ShardState::Unclaimed;  // a later scan ingests
+        ++unclaimed_;
+    }
+    open_.erase(std::find_if(open_.begin(), open_.end(),
+                             [&](const auto &o) { return o.get() == &s; }));
+    capBlocked_ = false;
+    wake_.notify_all();
+}
+
+void
+ShardPipeline::work(std::size_t slot)
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (!stopped_) {
+        // 1. The next unstarted run of the oldest open shard.
+        const auto unstarted = std::find_if(
+            open_.begin(), open_.end(),
+            [](const auto &s) { return s->started < s->missing.size(); });
+        if (unstarted != open_.end()) {
+            OpenShard &s = **unstarted;
+            const std::size_t config = s.missing[s.started++];
+            lock.unlock();
+            guarded([&] { runConfig(s, slot, config); });
+            lock.lock();
+            ++s.settled;
+            settle(lock, s);
+            continue;
+        }
+
+        // 2. None: claim and open the next shard, one claim at a time.
+        const auto now = std::chrono::steady_clock::now();
+        if (!claiming_ && !capped_ && !capBlocked_ && unclaimed_ > 0 &&
+            now >= retryAt_) {
+            claiming_ = true;
+            lock.unlock();
+            Claim claim = guarded([&] { return claimNext(); });
+            lock.lock();
+            claiming_ = false;
+            wake_.notify_all();
+            if (claim.shard) {
+                OpenShard &s = *claim.shard;
+                state_[s.shard] = ShardState::Open;
+                --unclaimed_;
+                open_.push_back(std::move(claim.shard));
+                settle(lock, s);  // a wholly repaired shard is done now
+            } else if (!claim.capReached) {
+                retryAt_ = now + std::chrono::milliseconds(options_.pollMs);
+            } else if (result_.shardsRun + open_.size() >=
+                       options_.maxShards) {
+                // Re-judged under the lock: a shard that closed since the
+                // scan may have freed the cap. Open shards may still yield
+                // theirs back; with none open, the cap is final.
+                if (open_.empty())
+                    capped_ = true;
+                else
+                    capBlocked_ = true;
+            }
+            continue;
+        }
+
+        // 3. Nothing to run or claim now: leave once no claim can ever
+        //    add work, else wait for a claim, a close or the back-off.
+        if (!claiming_ && (capped_ || unclaimed_ == 0))
+            return;
+        if (!claiming_ && !capBlocked_ && now < retryAt_)
+            wake_.wait_until(lock, retryAt_);
+        else
+            wake_.wait(lock);
+    }
+}
 
 } // namespace
 
@@ -378,57 +1173,7 @@ runSweepSharded(const EnvFactory &env_factory,
     manifest.batchEval = run_config.batchEval ? 1 : 0;
     manifest.exportDataset = options.exportDataset ? 1 : 0;
     manifest.hash = sweepConfigsHash(configs);
-
-    // Validate-or-write the manifest: resuming a directory that belongs
-    // to a *different* sweep must fail loudly, never mix results. Every
-    // mismatch names the offending field and both values.
-    const fs::path manifestPath = dir / "manifest.json";
-    if (fs::exists(manifestPath)) {
-        std::ifstream in(manifestPath);
-        std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-        const std::string ctx = "manifest " + manifestPath.string();
-        if (text.empty())
-            throw std::runtime_error(
-                ctx + ": file is empty (torn or zeroed write) — delete "
-                      "it to restart the sweep");
-        const auto check = [&](const std::string &key,
-                               std::uint64_t expected) {
-            const std::uint64_t got = jsonio::uintField(text, key, ctx);
-            if (got != expected)
-                throw std::runtime_error(
-                    ctx + ": '" + key + "' is " + std::to_string(got) +
-                    ", requested sweep has " + std::to_string(expected) +
-                    " — not the same sweep");
-        };
-        const auto checkString = [&](const std::string &key,
-                                     const std::string &expected) {
-            const std::string got = jsonio::stringField(text, key, ctx);
-            if (got != expected)
-                throw std::runtime_error(
-                    ctx + ": '" + key + "' is \"" + got +
-                    "\", requested sweep has \"" + expected +
-                    "\" — not the same sweep");
-        };
-        checkString("env", manifest.env);
-        checkString("agent", agent_name);
-        check("configCount", manifest.configCount);
-        check("shardSize", manifest.shardSize);
-        check("baseSeed", manifest.baseSeed);
-        check("maxSamples", manifest.maxSamples);
-        check("stopWhenSatisfied", manifest.stopWhenSatisfied);
-        check("batchEval", manifest.batchEval);
-        check("exportDataset", manifest.exportDataset);
-        check("configsHash", manifest.hash);
-    } else {
-        // Durable atomic create. Two workers racing here both render
-        // identical bytes, so the second rename is a no-op overwrite.
-        fsio::atomicWriteFile(manifestPath.string(),
-                              renderManifest(manifest));
-    }
-
-    const std::size_t shardCount =
-        (configs.size() + options.shardSize - 1) / options.shardSize;
+    pinManifest(dir / "manifest.json", manifest);
 
     ShardedSweepResult result;
     result.agentName = agent_name;
@@ -439,530 +1184,26 @@ runSweepSharded(const EnvFactory &env_factory,
     result.samplesUsed.assign(configs.size(), 0);
     result.quarantined.assign(configs.size(), 0);
     result.seeds.resize(configs.size());
-    result.shardCount = shardCount;
+    result.shardCount =
+        (configs.size() + options.shardSize - 1) / options.shardSize;
     for (std::size_t i = 0; i < configs.size(); ++i)
         result.seeds[i] = sweepConfigSeed(base_seed, i);
 
-    std::size_t numThreads = options.numThreads;
-    if (numThreads == 0)
-        numThreads = std::max(1u, std::thread::hardware_concurrency());
-    numThreads = std::min(
-        numThreads, std::max<std::size_t>(1, options.shardSize));
+    // Runs of every open shard feed every slot, so any slot count keeps
+    // them all busy, whatever the shard size.
+    const std::size_t numThreads =
+        options.numThreads != 0
+            ? options.numThreads
+            : std::max(1u, std::thread::hardware_concurrency());
+    ShardPipeline pipeline(env_factory, builder, configs, run_config,
+                           options, *metaEnv, agent_name, numThreads,
+                           result);
+    WorkerPool::shared().parallelFor(
+        numThreads,
+        [&pipeline](std::size_t slot, std::size_t) { pipeline.work(slot); },
+        numThreads);
 
-    // One private environment per logical worker slot, reused across
-    // every shard this invocation runs (same discipline and same
-    // determinism argument as runSweepParallel).
-    std::vector<std::unique_ptr<Environment>> envs(numThreads);
-
-    LeaseOptions leaseOpts;
-    leaseOpts.workerId = options.workerId.empty()
-                             ? "pid:" + std::to_string(::getpid())
-                             : options.workerId;
-    leaseOpts.ttlMs = options.leaseTtlMs;
-    leaseOpts.heartbeatMs = options.heartbeatMs;
-
-    // Ingest a completed shard's final .jsonl into the result arrays.
-    // Corruption (truncation, appended garbage, foreign results) fails
-    // loudly with the offending line number — never a silent
-    // mis-resume.
-    const auto ingestFinal = [&](const fs::path &jsonlPath,
-                                 std::size_t lo, std::size_t hi) {
-        std::ifstream in(jsonlPath);
-        std::string line;
-        std::size_t next = lo;
-        std::size_t lineno = 0;
-        while (std::getline(in, line)) {
-            ++lineno;
-            const std::string ctx = "shard results " +
-                                    jsonlPath.string() + ":" +
-                                    std::to_string(lineno);
-            if (line.empty())
-                throw std::runtime_error(
-                    ctx + ": empty line (truncated write?) — delete "
-                          "the shard files to re-run it");
-            // A structurally whole record ends in '}'; a mid-line
-            // truncation otherwise parses as a silently shorter
-            // bestAction array.
-            if (line.back() != '}')
-                throw std::runtime_error(
-                    ctx + ": line does not end in '}' (truncated "
-                          "write?) — delete the shard files to re-run "
-                          "it");
-            const std::uint64_t idx = jsonio::uintField(line, "config", ctx);
-            if (next >= hi || idx != next)
-                throw std::runtime_error(
-                    ctx + ": unexpected config index " +
-                    std::to_string(idx) + " (expected " +
-                    (next >= hi ? std::string("end of shard")
-                                : std::to_string(next)) +
-                    ") — delete the shard files to re-run it");
-            result.bestRewards[idx] =
-                jsonio::doubleField(line, "bestReward", ctx);
-            result.samplesUsed[idx] = static_cast<std::size_t>(
-                jsonio::uintField(line, "samplesUsed", ctx));
-            result.bestActions[idx] =
-                jsonio::doubleArrayField(line, "bestAction", ctx);
-            result.quarantined[idx] =
-                hasField(line, "quarantined") &&
-                        jsonio::uintField(line, "quarantined", ctx) != 0
-                    ? 1
-                    : 0;
-            const std::uint64_t seed = jsonio::uintField(line, "seed", ctx);
-            if (seed != result.seeds[idx])
-                throw std::runtime_error(
-                    ctx + ": seed is " + std::to_string(seed) +
-                    ", expected " + std::to_string(result.seeds[idx]) +
-                    " at config " + std::to_string(idx) +
-                    " — delete the shard files to re-run it");
-            ++next;
-        }
-        if (next != hi)
-            throw std::runtime_error(
-                "shard results " + jsonlPath.string() + ":" +
-                std::to_string(lineno) + ": holds " +
-                std::to_string(next - lo) + " of " +
-                std::to_string(hi - lo) +
-                " configs — delete the shard files to re-run it");
-    };
-
-    // Execute one claimed shard: clean stale tmps, repair from the
-    // previous owner's partial files, run what is missing, finalize
-    // atomically, release the lease. Returns false when this worker
-    // was fenced (a peer stole the lease mid-run and finished first);
-    // the caller then ingests the peer's final files instead.
-    const auto runShard = [&](std::size_t shard, std::size_t lo,
-                              std::size_t hi, ShardLease &lease) {
-        const std::string stem = shardStem(shard);
-        const fs::path jsonlPath = dir / (stem + ".jsonl");
-        const fs::path csvPath = dir / (stem + ".csv");
-        const fs::path partialJsonl = dir / (stem + ".partial.jsonl");
-        const fs::path partialCsvf = dir / (stem + ".partial.csvf");
-        const auto finalsExist = [&] {
-            return fs::exists(jsonlPath) &&
-                   (!options.exportDataset || fs::exists(csvPath));
-        };
-
-        // Discard the previous owner's half-written rename staging
-        // files (unique .tmp.* names, so live peers of *other* shards
-        // are never touched).
-        for (const auto &entry : fs::directory_iterator(dir)) {
-            const std::string name = entry.path().filename().string();
-            if (name.compare(0, stem.size(), stem) == 0 &&
-                name.find(".tmp") != std::string::npos)
-                fs::remove(entry.path());
-        }
-        // exportDataset with a .jsonl but no .csv (manual deletion):
-        // drop the orphan marker and re-run the shard whole.
-        if (fs::exists(jsonlPath) && !finalsExist())
-            fs::remove(jsonlPath);
-
-        // Repair pass: re-ingest every run the previous owner durably
-        // appended. A run is durable when its checksummed result line
-        // is intact AND (with exportDataset) its trajectory frame is
-        // too; the writers order frame-before-line, so the line is
-        // normally the deciding record.
-        const PartialReadResult pr =
-            readPartialResultLines(partialJsonl.string());
-        PartialCsvReadResult cr;
-        if (options.exportDataset)
-            cr = readPartialCsvFrames(partialCsvf.string());
-
-        std::map<std::size_t, const PartialCsvRecord *> frames;
-        for (const auto &rec : cr.records)
-            frames.emplace(rec.config, &rec);  // keep-first dedupe
-
-        std::map<std::size_t, std::string> durable;
-        for (const auto &rec : pr.records) {
-            const std::string ctx = "shard partial " +
-                                    partialJsonl.string();
-            if (rec.config < lo || rec.config >= hi)
-                throw std::runtime_error(
-                    ctx + ": config index " +
-                    std::to_string(rec.config) +
-                    " is outside this shard [" + std::to_string(lo) +
-                    ", " + std::to_string(hi) +
-                    ") — delete the partial files to re-run it");
-            const std::uint64_t seed =
-                jsonio::uintField(rec.resultLine, "seed", ctx);
-            if (seed != result.seeds[rec.config])
-                throw std::runtime_error(
-                    ctx + ": seed is " + std::to_string(seed) +
-                    ", expected " +
-                    std::to_string(result.seeds[rec.config]) +
-                    " at config " + std::to_string(rec.config) +
-                    " — delete the partial files to re-run it");
-            if (durable.count(rec.config))
-                continue;  // duplicate from a double-execution race
-            if (options.exportDataset && !frames.count(rec.config))
-                continue;  // line durable but frame lost: re-run it
-            durable.emplace(rec.config, rec.resultLine);
-        }
-
-        std::unique_ptr<StreamingDatasetWriter> writer;
-        std::string csvTmp;
-        if (options.exportDataset) {
-            csvTmp = fsio::uniqueTmpPath(csvPath.string());
-            writer = std::make_unique<StreamingDatasetWriter>(
-                csvTmp, metaEnv->actionSpace(), metaEnv->metricNames(),
-                lo, hi - lo);
-        }
-
-        // Pre-feed repaired runs into the result arrays, the final
-        // line buffer and the streaming CSV; then truncate the torn
-        // partial tails and keep appending where the dead worker
-        // stopped.
-        std::vector<std::string> lines(hi - lo);
-        for (const auto &[config, line] : durable) {
-            const std::string ctx = "shard partial " +
-                                    partialJsonl.string();
-            result.bestRewards[config] =
-                jsonio::doubleField(line, "bestReward", ctx);
-            result.samplesUsed[config] = static_cast<std::size_t>(
-                jsonio::uintField(line, "samplesUsed", ctx));
-            result.bestActions[config] =
-                jsonio::doubleArrayField(line, "bestAction", ctx);
-            // A durable gap record repairs like any other run: the
-            // previous owner already paid the attempts, never re-run.
-            result.quarantined[config] =
-                hasField(line, "quarantined") ? 1 : 0;
-            lines[config - lo] = line;
-            if (writer)
-                writer->appendSerialized(config,
-                                         frames.at(config)->block);
-        }
-        result.runsRepaired += durable.size();
-
-        ShardPartialWriter pw(
-            partialJsonl.string(),
-            options.exportDataset ? partialCsvf.string() : std::string(),
-            pr.validBytes, cr.validBytes);
-
-        // Durable attempt history of this shard's poison candidates:
-        // what previous owners already tried, by config. The ledger
-        // outlives steals *and* shard completion (it is the quarantine
-        // post-mortem record), so attempt budgets are fleet-wide.
-        const fs::path quarantinePath =
-            dir / (stem + ".quarantine.jsonl");
-        const RunAttemptPolicy &pol = options.attempts;
-        const std::size_t maxAttempts =
-            std::max<std::size_t>(1, pol.maxAttempts);
-        const bool isolated = pol.isolated();
-        PartialReadResult qr;
-        std::map<std::size_t, LedgerEntry> ledger;
-        if (isolated) {
-            qr = readPartialResultLines(quarantinePath.string());
-            for (const auto &rec : qr.records) {
-                const std::string ctx =
-                    "shard quarantine " + quarantinePath.string();
-                if (rec.config < lo || rec.config >= hi)
-                    throw std::runtime_error(
-                        ctx + ": config index " +
-                        std::to_string(rec.config) +
-                        " is outside this shard [" + std::to_string(lo) +
-                        ", " + std::to_string(hi) +
-                        ") — delete the ledger to re-run it");
-                const std::uint64_t seed =
-                    jsonio::uintField(rec.resultLine, "seed", ctx);
-                if (seed != result.seeds[rec.config])
-                    throw std::runtime_error(
-                        ctx + ": seed is " + std::to_string(seed) +
-                        ", expected " +
-                        std::to_string(result.seeds[rec.config]) +
-                        " at config " + std::to_string(rec.config) +
-                        " — delete the ledger to re-run it");
-                const auto attempt = static_cast<std::size_t>(
-                    jsonio::uintField(rec.resultLine, "attempt", ctx));
-                LedgerEntry &entry = ledger[rec.config];
-                if (attempt > entry.attempts) {
-                    entry.attempts = attempt;
-                    entry.failureClass = jsonio::stringField(
-                        rec.resultLine, "class", ctx);
-                    entry.error =
-                        jsonio::stringField(rec.resultLine, "error", ctx);
-                }
-            }
-        }
-        std::mutex ledgerMutex;
-        std::unique_ptr<ShardPartialWriter> ledgerWriter;
-        const auto appendAttempt = [&](std::size_t config,
-                                       std::size_t attempt,
-                                       const std::string &failure_class,
-                                       const std::string &error) {
-            std::lock_guard<std::mutex> lock(ledgerMutex);
-            if (!ledgerWriter)
-                ledgerWriter = std::make_unique<ShardPartialWriter>(
-                    quarantinePath.string(), std::string(),
-                    qr.validBytes, 0);
-            ledgerWriter->append(
-                config,
-                renderAttemptLine(config, result.seeds[config], attempt,
-                                  failure_class, error,
-                                  leaseOpts.workerId),
-                std::string());
-        };
-
-        RunConfig shardRun = run_config;
-        // The engine persists scalars + streamed trajectories only;
-        // retaining per-run curves/logs in memory would defeat the
-        // bounded-memory contract.
-        shardRun.recordRewardHistory = false;
-        shardRun.logTrajectory = options.exportDataset;
-
-        std::vector<std::size_t> missing;
-        missing.reserve(hi - lo - durable.size());
-        for (std::size_t i = lo; i < hi; ++i)
-            if (!durable.count(i))
-                missing.push_back(i);
-
-        WorkerPool::shared().parallelFor(
-            missing.size(),
-            [&](std::size_t slot, std::size_t m) {
-                // Fenced while mid-shard (a peer judged us dead and
-                // stole the lease): stop burning work, the finalize
-                // step below yields to the thief's results.
-                if (lease.lost())
-                    return;
-                const std::size_t i = missing[m];
-                const std::uint64_t seed = result.seeds[i];
-
-                std::size_t attempt = 0;
-                std::string failClass, failError;
-                if (isolated) {
-                    if (const auto it = ledger.find(i);
-                        it != ledger.end()) {
-                        attempt = it->second.attempts;
-                        failClass = it->second.failureClass;
-                        failError = it->second.error;
-                    }
-                }
-
-                bool succeeded = false;
-                RunResult run;
-                while (attempt < maxAttempts) {
-                    if (attempt > 0) {
-                        const std::uint64_t delayMs =
-                            attemptBackoffMs(pol, seed, attempt);
-                        if (delayMs)
-                            std::this_thread::sleep_for(
-                                std::chrono::milliseconds(delayMs));
-                    }
-                    bool ok = false;
-                    try {
-                        // Arm the deadline before anything the attempt
-                        // executes (including the beforeRun hook): a
-                        // hang anywhere inside the attempt counts
-                        // against it, and the lease watchdog sees the
-                        // overstay even if no checkpoint ever runs.
-                        resilience::CancelScope scope(
-                            leaseOpts.workerId,
-                            isolated ? pol.runDeadlineMs : 0);
-                        if (faultHooks().beforeRun)
-                            faultHooks().beforeRun(leaseOpts.workerId,
-                                                   shard, i);
-                        auto &env = envs[slot];
-                        if (!env)
-                            env = env_factory();
-                        auto agent =
-                            builder(env->actionSpace(), configs[i], seed);
-                        run = runSearch(*env, *agent, shardRun);
-                        ok = true;
-                    } catch (const WorkerKilled &) {
-                        throw;  // injected SIGKILL: never isolated
-                    } catch (const RunTimeout &e) {
-                        if (!isolated)
-                            throw;
-                        failClass = "timeout";
-                        failError = e.what();
-                    } catch (const std::exception &e) {
-                        if (!isolated)
-                            throw;
-                        failClass = "throw";
-                        failError = e.what();
-                    }
-                    if (ok) {
-                        succeeded = true;
-                        break;
-                    }
-                    ++attempt;
-                    // The attempt count becomes durable *before* any
-                    // retry: a thief that steals this shard resumes
-                    // the count where it stands — without this, every
-                    // thief restarts the budget and a poison config
-                    // livelocks the fleet.
-                    appendAttempt(i, attempt, failClass, failError);
-                    if (faultHooks().afterRunPersisted)
-                        faultHooks().afterRunPersisted(
-                            leaseOpts.workerId, shard, i);
-                }
-
-                if (succeeded) {
-                    result.bestRewards[i] = run.bestReward;
-                    result.bestActions[i] = run.bestAction;
-                    result.samplesUsed[i] = run.samplesUsed;
-                    lines[i - lo] =
-                        renderResultLine(i, seed, configs[i], run);
-                    std::string block;
-                    if (writer)
-                        block = writer->serializeBlock(run.trajectory);
-                    // Run-granular durability: persist before reporting.
-                    pw.append(i, lines[i - lo], block);
-                    if (faultHooks().afterRunPersisted)
-                        faultHooks().afterRunPersisted(
-                            leaseOpts.workerId, shard, i);
-                    if (writer)
-                        writer->appendSerialized(i, block);
-                    return;
-                }
-
-                if (!pol.quarantine)
-                    throw std::runtime_error(
-                        "sweep config " + std::to_string(i) +
-                        " failed after " + std::to_string(attempt) +
-                        " attempts (" + failClass + "): " + failError);
-
-                // Quarantine: the configuration is accounted for with
-                // a deterministic gap record (result line + empty
-                // dataset block), so the sweep completes degraded and
-                // the finals stay byte-identical on every worker.
-                lines[i - lo] = renderGapLine(i, seed, configs[i],
-                                              attempt, failClass,
-                                              failError);
-                result.quarantined[i] = 1;
-                std::string block;
-                if (writer)
-                    block = writer->serializeBlock(TrajectoryLog(
-                                manifest.env, agent_name,
-                                configs[i].str())) +
-                            "# quarantined=1\n";
-                pw.append(i, lines[i - lo], block);
-                if (faultHooks().afterRunPersisted)
-                    faultHooks().afterRunPersisted(leaseOpts.workerId,
-                                                   shard, i);
-                if (writer)
-                    writer->appendSerialized(i, block);
-            },
-            numThreads, /*chunk=*/1);
-
-        // A fenced stale owner must never reach the renames at all:
-        // historically both sides produced byte-identical shards, but
-        // an isolated run that overstays its deadline here while the
-        // thief *succeeds* on the same config would finalize a gap
-        // record over the thief's real result. Yield first.
-        if (lease.lost() || finalsExist()) {
-            lease.release();  // ownership-checked no-op if stolen
-            return false;
-        }
-
-        // Atomic completion: stream-close + rename the CSV first, then
-        // the .jsonl — its presence marks the shard done. Both renames
-        // land from unique tmp names, so even a fenced stale owner
-        // racing the thief only ever renames byte-identical content.
-        try {
-            std::string all;
-            for (const auto &line : lines)
-                all += line;
-            if (writer) {
-                writer->close();
-                fs::rename(csvTmp, csvPath);
-            }
-            fsio::atomicWriteFile(jsonlPath.string(), all);
-        } catch (const std::exception &) {
-            // A peer that stole our stale lease may have removed our
-            // staging files; if it finished the shard (or our lease is
-            // gone), yield to it — the caller re-ingests its finals.
-            if (lease.lost() || finalsExist()) {
-                lease.release();  // ownership-checked no-op if stolen
-                return false;
-            }
-            throw;
-        }
-        pw.closeAndRemove();
-        lease.release();
-        return true;
-    };
-
-    std::vector<bool> ingested(shardCount, false);
-    std::size_t remaining = shardCount;
-    bool capped = false;
-
-    // Cooperative claim loop: scan for work, ingest what peers have
-    // finished, claim and run what nobody owns, back off while every
-    // remaining shard is leased by a live peer.
-    while (remaining > 0 && !capped) {
-        bool progress = false;
-        for (std::size_t shard = 0; shard < shardCount; ++shard) {
-            if (ingested[shard])
-                continue;
-            const std::size_t lo = shard * options.shardSize;
-            const std::size_t hi =
-                std::min(configs.size(), lo + options.shardSize);
-            const std::string stem = shardStem(shard);
-            const fs::path jsonlPath = dir / (stem + ".jsonl");
-            const fs::path csvPath = dir / (stem + ".csv");
-            const bool finals =
-                fs::exists(jsonlPath) &&
-                (!options.exportDataset || fs::exists(csvPath));
-
-            if (finals) {
-                // Completed (by an earlier invocation or a live peer):
-                // re-ingest instead of re-running, and sweep up any
-                // leftovers a worker that died post-rename left behind.
-                ingestFinal(jsonlPath, lo, hi);
-                std::error_code ec;
-                fs::remove(dir / (stem + ".partial.jsonl"), ec);
-                fs::remove(dir / (stem + ".partial.csvf"), ec);
-                fs::remove(dir / (stem + ".lease"), ec);
-                ingested[shard] = true;
-                ++result.shardsSkipped;
-                --remaining;
-                progress = true;
-                continue;
-            }
-
-            if (options.maxShards != 0 &&
-                result.shardsRun >= options.maxShards) {
-                capped = true;  // interrupted by request
-                break;
-            }
-
-            auto lease =
-                ShardLease::tryAcquire(options.directory, shard,
-                                       leaseOpts);
-            if (!lease)
-                continue;  // a live peer owns it; move on
-            if (lease->stolen())
-                ++result.shardsStolen;
-            if (faultHooks().afterShardClaimed)
-                faultHooks().afterShardClaimed(leaseOpts.workerId, shard);
-
-            // A peer may have finished and released between our scan
-            // and the claim; re-check under ownership.
-            const bool finalsNow =
-                fs::exists(jsonlPath) &&
-                (!options.exportDataset || fs::exists(csvPath));
-            if (finalsNow) {
-                ingestFinal(jsonlPath, lo, hi);
-                std::error_code ec;
-                fs::remove(dir / (stem + ".partial.jsonl"), ec);
-                fs::remove(dir / (stem + ".partial.csvf"), ec);
-                lease->release();
-                ingested[shard] = true;
-                ++result.shardsSkipped;
-            } else if (runShard(shard, lo, hi, *lease)) {
-                ingested[shard] = true;
-                ++result.shardsRun;
-            } else {
-                continue;  // fenced mid-run; re-scan picks up finals
-            }
-            --remaining;
-            progress = true;
-        }
-        if (remaining > 0 && !capped && !progress)
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(options.pollMs));
-    }
-
-    result.complete = remaining == 0;
+    result.complete = pipeline.complete();
     for (const std::uint8_t q : result.quarantined)
         if (q)
             ++result.runsQuarantined;

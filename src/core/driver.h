@@ -210,8 +210,9 @@ struct ShardedSweepOptions
     /** Configurations per shard (the resume granularity). */
     std::size_t shardSize = 64;
 
-    /** Worker threads within a shard; 0 = hardware concurrency. The
-     *  setting never affects results, only wall clock. */
+    /** Worker threads of this worker, shared by all of its open shards
+     *  (so any value may exceed shardSize); 0 = hardware concurrency.
+     *  The setting never affects results, only wall clock. */
     std::size_t numThreads = 0;
 
     /**
@@ -224,9 +225,11 @@ struct ShardedSweepOptions
 
     /**
      * Stop after completing this many shards in this invocation
-     * (0 = run to completion). Lets tests — and callers with external
-     * time budgets — exercise the interruption/resume path
-     * deterministically; the returned result has complete == false.
+     * (0 = run to completion): no shard is claimed while the completed
+     * and open ones already reach the cap. Lets tests — and callers
+     * with external time budgets — exercise the interruption/resume
+     * path deterministically; the returned result has complete ==
+     * false.
      */
     std::size_t maxShards = 0;
 
@@ -280,12 +283,21 @@ struct ShardedSweepResult
 /**
  * Sharded, resumable variant of runSweepParallel for lottery-scale
  * sweeps. Configurations are partitioned into deterministic
- * config-range shards; each shard runs on the shared WorkerPool, then
- * persists its per-configuration results (JSON lines) and — with
- * exportDataset — its trajectories (multi-block CSV) atomically under
- * options.directory. Per-configuration seeds use the same
- * index-only formula as runSweep/runSweepParallel, so results are
- * bit-identical to those engines and independent of thread count.
+ * config-range shards; each completed shard persists its
+ * per-configuration results (JSON lines) and — with exportDataset — its
+ * trajectories (multi-block CSV) atomically under options.directory.
+ * Per-configuration seeds use the same index-only formula as
+ * runSweep/runSweepParallel, so results are bit-identical to those
+ * engines and independent of thread count.
+ *
+ * Shards move through a pipeline on the shared WorkerPool: each of the
+ * numThreads slots takes the next unstarted run of the oldest open
+ * shard; when no open shard has one, a single slot claims and opens the
+ * next shard while the others keep running, and the slot that persists
+ * a shard's last run finalizes and releases it. No slot waits for a
+ * shard's slowest run or idles through another shard's open or
+ * finalize. A throwing run stops every slot and leaves each open
+ * shard's lease and partial files in place, as a crash would.
  *
  * Invoked again on the same directory, the engine validates the
  * manifest against the requested sweep (agent, configs, shard size,

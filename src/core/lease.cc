@@ -120,6 +120,14 @@ writeLeaseFile(const std::string &path, const std::string &bytes)
 
 } // namespace
 
+std::string
+shardStem(std::size_t shard)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "shard_%04zu", shard);
+    return buf;
+}
+
 std::uint64_t
 leaseClockNowNs()
 {
@@ -166,9 +174,7 @@ std::unique_ptr<ShardLease>
 ShardLease::tryAcquire(const std::string &dir, std::size_t shard,
                        const LeaseOptions &opts)
 {
-    char stem[32];
-    std::snprintf(stem, sizeof(stem), "shard_%04zu.lease", shard);
-    const std::string leasePath = dir + "/" + stem;
+    const std::string leasePath = dir + "/" + shardStem(shard) + ".lease";
 
     SweepDirLock lock(dir);
     bool stolen = false;

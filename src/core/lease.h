@@ -30,9 +30,9 @@
  *
  * Heartbeat timestamps come from the steady (monotonic) clock, which
  * on Linux is system-wide — comparisons are valid across processes on
- * one host. Cross-host deployments over a shared filesystem must set
- * the TTL well above both the heartbeat cadence and the worst-case
- * clock divergence; see docs/sweep_service.md for TTL tuning.
+ * one host only: another host's monotonic clock has an unrelated
+ * origin, so cross-host staleness judgements are meaningless (see
+ * docs/sweep_service.md for TTL tuning).
  *
  * Destruction semantics mirror crash behaviour on purpose: the
  * destructor stops the heartbeat thread but leaves the lease file in
@@ -54,6 +54,14 @@
 #include <thread>
 
 namespace archgym {
+
+/**
+ * Basename stem of every file of shard `shard` in a sweep directory
+ * ("shard_0042" -> shard_0042.lease, .jsonl, .csv, .partial.*, ...),
+ * zero-padded to at least four digits so listings of up to 10,000
+ * shards sort in shard order.
+ */
+std::string shardStem(std::size_t shard);
 
 /** Claiming/heartbeat knobs of one worker. */
 struct LeaseOptions

@@ -188,10 +188,18 @@ WorkerPool::parallelFor(
     }
     loop->runSlot(0);
 
-    std::unique_lock<std::mutex> lock(loop->mutex);
-    loop->done.wait(lock, [&loop] { return loop->finished(); });
-    if (loop->error)
-        std::rethrow_exception(loop->error);
+    std::exception_ptr error;
+    {
+        std::unique_lock<std::mutex> lock(loop->mutex);
+        loop->done.wait(lock, [&loop] { return loop->finished(); });
+        // Take the error out of the shared state: a late pool task may
+        // drop the last reference to `loop` while the caller still
+        // handles the rethrown exception, which must then not die with
+        // it.
+        error = std::move(loop->error);
+    }
+    if (error)
+        std::rethrow_exception(error);
 }
 
 WorkerPool &

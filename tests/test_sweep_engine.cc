@@ -8,8 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 
@@ -18,11 +25,13 @@
 #include "core/toy_envs.h"
 #include "core/trajectory.h"
 #include "envs/farsi_gym_env.h"
+#include "fault_injection.h"
 
 namespace archgym {
 namespace {
 
 namespace fs = std::filesystem;
+using testing::FaultHookGuard;
 
 /** Minimal deterministic agent (same shape as test_core's). */
 class ScriptedAgent : public Agent
@@ -223,6 +232,139 @@ TEST(ShardedSweep, InterruptResumeBitIdenticalAtAnyWorkerCount)
     }
 }
 
+TEST(ShardedSweep, ClaimKeepsStagingFilesOfShardsSharingItsPrefix)
+{
+    // 1,001 one-config shards: shard 1000's stem "shard_1000" is a
+    // prefix of shard 10000's. Shards 0-999 are already final, so the
+    // sweep claims and runs shard 1000 alone.
+    const std::size_t n = 1001;
+    const std::uint64_t baseSeed = 4;
+    const auto configs = dummyConfigs(n);
+    const std::string dir = tempDir("staging_prefix");
+    fs::create_directories(dir);
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+        char name[32];
+        std::snprintf(name, sizeof(name), "shard_%04zu.jsonl", i);
+        std::ofstream out(fs::path(dir) / name);
+        out << "{\"config\":" << i
+            << ",\"seed\":" << sweepConfigSeed(baseSeed, i)
+            << ",\"bestReward\":0.5,\"bestSampleIndex\":0,"
+               "\"samplesUsed\":1,\"bestAction\":[],\"hyper\":\"h\"}\n";
+    }
+    // Stands in for the staging file of shard 10000 in a sweep of over
+    // 10,000 shards, which a live peer may be about to rename into place.
+    const fs::path peer = fs::path(dir) / "shard_10000.csv.tmp.77.1";
+    std::ofstream(peer) << "# env=peer\n";
+
+    RunConfig cfg;
+    cfg.maxSamples = 5;
+    ShardedSweepOptions opts;
+    opts.directory = dir;
+    opts.shardSize = 1;
+    const ShardedSweepResult result =
+        runSweepSharded(quadraticFactory(), "Scripted", scriptedBuilder(),
+                        configs, cfg, opts, baseSeed);
+    EXPECT_TRUE(result.complete);
+    EXPECT_EQ(result.shardsSkipped, n - 1);
+    EXPECT_EQ(result.shardsRun, 1u);
+    EXPECT_EQ(result.samplesUsed[n - 1], 5u);
+    EXPECT_TRUE(fs::exists(peer));
+}
+
+/**
+ * Gate of a straggling run: config 0's first step parks until a run of
+ * shard 1 begins, or until a timeout passes.
+ */
+struct StragglerGate
+{
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool shard1Started = false;
+    bool parked = false;
+    bool signalled = false;  ///< the park ended by the signal, not timeout
+};
+
+/** Config the calling worker thread is running (set by beforeRun). */
+thread_local std::size_t t_config = std::numeric_limits<std::size_t>::max();
+
+/** The quadratic bowl, with config 0's first step parked on the gate. */
+class StragglingEnv : public QuadraticEnv
+{
+  public:
+    explicit StragglingEnv(StragglerGate &gate)
+        : QuadraticEnv({3.0, 8.0}), gate_(gate)
+    {}
+
+    StepResult step(const Action &action) override
+    {
+        if (t_config == 0) {
+            std::unique_lock<std::mutex> lock(gate_.mutex);
+            if (!gate_.parked) {
+                gate_.parked = true;
+                gate_.signalled =
+                    gate_.cv.wait_for(lock, std::chrono::seconds(5),
+                                      [this] { return gate_.shard1Started; });
+            }
+        }
+        return QuadraticEnv::step(action);
+    }
+
+  private:
+    StragglerGate &gate_;
+};
+
+TEST(ShardedSweep, IdleWorkerRunsTheNextShardPastAStraggler)
+{
+    const auto configs = dummyConfigs(4);  // shards {0,1} and {2,3}
+    RunConfig cfg;
+    cfg.maxSamples = 10;
+
+    ShardedSweepOptions refOpts;
+    refOpts.directory = tempDir("straggler_ref");
+    refOpts.shardSize = 2;
+    refOpts.numThreads = 1;
+    refOpts.exportDataset = true;
+    const ShardedSweepResult ref =
+        runSweepSharded(quadraticFactory(), "Scripted", scriptedBuilder(),
+                        configs, cfg, refOpts, 19);
+
+    // While config 0 straggles, the other worker must finish config 1,
+    // claim shard 1 and start its runs — the straggler waits for that.
+    FaultHookGuard guard;
+    StragglerGate gate;
+    faultHooks().beforeRun = [&gate](const std::string &, std::size_t shard,
+                                     std::size_t config) {
+        t_config = config;
+        if (shard == 1) {
+            {
+                std::lock_guard<std::mutex> lock(gate.mutex);
+                gate.shard1Started = true;
+            }
+            gate.cv.notify_all();
+        }
+    };
+    const EnvFactory straggling = [&gate] {
+        return std::unique_ptr<Environment>(
+            std::make_unique<StragglingEnv>(gate));
+    };
+    ShardedSweepOptions opts = refOpts;
+    opts.directory = tempDir("straggler");
+    opts.numThreads = 2;
+    const ShardedSweepResult result = runSweepSharded(
+        straggling, "Scripted", scriptedBuilder(), configs, cfg, opts, 19);
+
+    EXPECT_TRUE(gate.parked);
+    EXPECT_TRUE(gate.signalled)
+        << "the straggler timed out: shard 1 never started while it ran";
+    EXPECT_TRUE(result.complete);
+    EXPECT_EQ(result.shardsRun, 2u);
+    expectSameResult(result, ref);
+    EXPECT_EQ(shardBytes(opts.directory, ".jsonl"),
+              shardBytes(refOpts.directory, ".jsonl"));
+    EXPECT_EQ(shardBytes(opts.directory, ".csv"),
+              shardBytes(refOpts.directory, ".csv"));
+}
+
 TEST(ShardedSweep, FullResumeRunsNothing)
 {
     const auto configs = dummyConfigs(8);
@@ -232,7 +374,7 @@ TEST(ShardedSweep, FullResumeRunsNothing)
     opts.directory = tempDir("full_resume");
     opts.shardSize = 3;
 
-    std::size_t factoryCalls = 0;
+    std::atomic<std::size_t> factoryCalls{0};  // pool threads build envs
     const EnvFactory countingFactory = [&factoryCalls] {
         ++factoryCalls;
         return std::unique_ptr<Environment>(std::make_unique<QuadraticEnv>(
@@ -252,7 +394,7 @@ TEST(ShardedSweep, FullResumeRunsNothing)
     EXPECT_EQ(second.shardsRun, 0u);
     // Pure re-ingest: only the metadata environment (manifest identity
     // check) is built, no per-worker evaluation environments.
-    EXPECT_EQ(factoryCalls, callsAfterFirst + 1);
+    EXPECT_EQ(factoryCalls.load(), callsAfterFirst + 1);
     expectSameResult(second, first);
 }
 

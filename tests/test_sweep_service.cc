@@ -13,12 +13,14 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <future>
 #include <limits>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -290,6 +292,100 @@ TEST(SweepService, KilledWorkerShardIsStolenAndRepairedRunGranular)
     // The repair consumed the dead worker's leftovers.
     EXPECT_FALSE(fs::exists(fs::path(dir) / "shard_0000.lease"));
     EXPECT_FALSE(fs::exists(fs::path(dir) / "shard_0000.partial.jsonl"));
+}
+
+TEST(SweepService, CrashWithTwoShardsOpenRepairsEveryPersistedRun)
+{
+    const Fixture fx;
+    const std::string refDir = tempDir("svc_two_open_ref");
+    fx.reference(refDir);
+
+    const std::string dir = tempDir("svc_two_open");
+    FaultHookGuard guard;
+    InjectedClock clock;
+
+    // Latches, not timing: config 0 (shard 0) parks until a run of
+    // shard 1 is durable — the other slot persisted configs 1 and 2,
+    // claimed shard 1 and persisted config 3 meanwhile — then kills the
+    // worker. Runs that start after that point die unpersisted too.
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool shard1Persisted = false, killed = false, parkSignalled = false;
+    std::size_t persisted = 0;
+    faultHooks().afterRunPersisted = [&](const std::string &,
+                                         std::size_t shard, std::size_t) {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            ++persisted;
+            shard1Persisted = shard1Persisted || shard == 1;
+        }
+        cv.notify_all();
+    };
+    faultHooks().beforeRun = [&](const std::string &worker, std::size_t,
+                                 std::size_t config) {
+        std::unique_lock<std::mutex> lock(mutex);
+        if (config == 0) {
+            parkSignalled = cv.wait_for(lock, std::chrono::seconds(5),
+                                        [&] { return shard1Persisted; });
+            killed = true;
+            cv.notify_all();
+            throw WorkerKilled(worker);
+        }
+        if (shard1Persisted) {
+            cv.wait(lock, [&] { return killed; });
+            throw WorkerKilled(worker);
+        }
+    };
+
+    auto victim = fx.options(dir, "victim");
+    victim.numThreads = 2;
+    victim.leaseTtlMs = 1000;
+    EXPECT_THROW(fx.run(victim), WorkerKilled);
+    faultHooks().clear();
+    ASSERT_TRUE(parkSignalled) << "shard 1 never opened while shard 0 ran";
+    EXPECT_EQ(persisted, 3u);
+
+    // Crash aftermath of both open shards: leases and partials stay.
+    for (const std::string stem : {"shard_0000", "shard_0001"}) {
+        EXPECT_TRUE(fs::exists(fs::path(dir) / (stem + ".lease"))) << stem;
+        EXPECT_TRUE(fs::exists(fs::path(dir) / (stem + ".partial.jsonl")))
+            << stem;
+        EXPECT_TRUE(fs::exists(fs::path(dir) / (stem + ".partial.csvf")))
+            << stem;
+        EXPECT_FALSE(fs::exists(fs::path(dir) / (stem + ".jsonl"))) << stem;
+    }
+
+    InjectedClock::advanceMs(2000);  // both dead leases go stale
+    for (const std::size_t workers : {1u, 2u}) {
+        const std::string resumeDir =
+            tempDir("svc_two_open_" + std::to_string(workers));
+        fs::copy(dir, resumeDir, fs::copy_options::recursive);
+        std::vector<ShardedSweepResult> results(workers);
+        std::vector<std::thread> threads;
+        for (std::size_t w = 0; w < workers; ++w)
+            threads.emplace_back([&, w] {
+                auto opts = fx.options(resumeDir, "medic" + std::to_string(w));
+                opts.leaseTtlMs = 1000;
+                results[w] = fx.run(opts);
+            });
+        for (auto &t : threads)
+            t.join();
+
+        std::size_t stolen = 0, repaired = 0;
+        for (const auto &r : results) {
+            EXPECT_TRUE(r.complete) << workers << " workers";
+            stolen += r.shardsStolen;
+            repaired += r.runsRepaired;
+        }
+        EXPECT_EQ(stolen, 2u) << workers << " workers";
+        EXPECT_EQ(repaired, persisted) << workers << " workers";
+        EXPECT_EQ(finalShardBytes(resumeDir, ".jsonl"),
+                  finalShardBytes(refDir, ".jsonl"))
+            << workers << " workers";
+        EXPECT_EQ(finalShardBytes(resumeDir, ".csv"),
+                  finalShardBytes(refDir, ".csv"))
+            << workers << " workers";
+    }
 }
 
 TEST(SweepService, TruncatedPartialTailDiscardsOnlyTheTornRun)
