@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -67,11 +68,8 @@ ColumnarDatasetWriter::ColumnarDatasetWriter(
     : stem_(stem), actionDims_(space.size()),
       metricNames_(std::move(metric_names)),
       rowsPerGroup_(std::max<std::size_t>(1, rows_per_group)),
-      out_(dataPath(stem), std::ios::binary | std::ios::trunc)
+      out_(fsio::File::create(dataPath(stem)))
 {
-    if (!out_)
-        throw std::runtime_error("ColumnarDatasetWriter: cannot open " +
-                                 dataPath(stem));
     pendingCols_.resize(actionDims_ + metricNames_.size() + 1);
 }
 
@@ -110,11 +108,7 @@ ColumnarDatasetWriter::flushGroup()
     meta.continuation = pendingContinuation_;
     groups_.push_back(std::move(meta));
 
-    out_.write(bytes.data(),
-               static_cast<std::streamsize>(bytes.size()));
-    if (!out_)
-        throw std::runtime_error("ColumnarDatasetWriter: write failed on " +
-                                 dataPath(stem_));
+    out_.write(bytes);
     bytesWritten_ += bytes.size();
     totalRows_ += rows;
     for (auto &col : pendingCols_)
@@ -164,12 +158,8 @@ ColumnarDatasetWriter::close()
         return;
     flushGroup();
     open_ = false;
-    out_.flush();
-    if (!out_)
-        throw std::runtime_error("ColumnarDatasetWriter: flush failed on " +
-                                 dataPath(stem_));
+    out_.sync();
     out_.close();
-    fsio::fsyncPath(dataPath(stem_));
 
     // The index is the commit point, written atomically last: a crash
     // anywhere earlier leaves no .colidx and therefore no dataset.

@@ -45,10 +45,10 @@
 #define ARCHGYM_CORE_COLUMNAR_H
 
 #include <cstdint>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "core/fsio.h"
 #include "core/param_space.h"
 #include "core/trajectory.h"
 #include "mathutil/rng.h"
@@ -139,7 +139,7 @@ class ColumnarDatasetWriter
     const std::size_t actionDims_;
     const std::vector<std::string> metricNames_;
     const std::size_t rowsPerGroup_;
-    std::ofstream out_;
+    fsio::File out_;
     std::vector<ColumnarGroupMeta> groups_;
     std::uint64_t bytesWritten_ = 0;
     std::size_t totalRows_ = 0;

@@ -250,9 +250,7 @@ pinManifest(const fs::path &manifestPath, const ManifestFields &manifest)
                               renderManifest(manifest));
         return;
     }
-    std::ifstream in(manifestPath);
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+    const std::string text = fsio::readFileIfExists(manifestPath.string());
     const std::string ctx = "manifest " + manifestPath.string();
     if (text.empty())
         throw std::runtime_error(
@@ -368,13 +366,27 @@ renderAttemptLine(std::size_t config_index, std::uint64_t seed,
     return line;
 }
 
-/** Does one of our JSON lines carry `"key":` at all? (For fields that
- *  are only present on gap records.) */
-bool
-hasField(const std::string &line, const char *key)
+/**
+ * Ingest the per-run fields of one final-format result line (a shard
+ * final's or a repaired partial's) into the result arrays at `config`.
+ * The caller has checked the line's config and seed.
+ */
+void
+ingestResultLine(ShardedSweepResult &result, std::size_t config,
+                 const std::string &line, const std::string &ctx)
 {
-    return line.find(std::string("\"") + key + "\":") !=
-           std::string::npos;
+    result.bestRewards[config] = jsonio::doubleField(line, "bestReward", ctx);
+    result.samplesUsed[config] = static_cast<std::size_t>(
+        jsonio::uintField(line, "samplesUsed", ctx));
+    result.bestActions[config] =
+        jsonio::doubleArrayField(line, "bestAction", ctx);
+    // Only gap records carry the field. A durable gap record ingests
+    // like any other run: its owner already paid the attempts.
+    result.quarantined[config] =
+        line.find("\"quarantined\":") != std::string::npos &&
+                jsonio::uintField(line, "quarantined", ctx) != 0
+            ? 1
+            : 0;
 }
 
 /**
@@ -617,17 +629,6 @@ ShardPipeline::ingestFinal(std::size_t shard)
                 (next >= last ? std::string("end of shard")
                               : std::to_string(next)) +
                 ") — delete the shard files to re-run it");
-        result_.bestRewards[idx] =
-            jsonio::doubleField(line, "bestReward", ctx);
-        result_.samplesUsed[idx] = static_cast<std::size_t>(
-            jsonio::uintField(line, "samplesUsed", ctx));
-        result_.bestActions[idx] =
-            jsonio::doubleArrayField(line, "bestAction", ctx);
-        result_.quarantined[idx] =
-            hasField(line, "quarantined") &&
-                    jsonio::uintField(line, "quarantined", ctx) != 0
-                ? 1
-                : 0;
         const std::uint64_t seed = jsonio::uintField(line, "seed", ctx);
         if (seed != result_.seeds[idx])
             throw std::runtime_error(
@@ -635,6 +636,7 @@ ShardPipeline::ingestFinal(std::size_t shard)
                 std::to_string(result_.seeds[idx]) + " at config " +
                 std::to_string(idx) +
                 " — delete the shard files to re-run it");
+        ingestResultLine(result_, idx, line, ctx);
         ++next;
     }
     if (next != last)
@@ -791,15 +793,7 @@ ShardPipeline::openShard(std::size_t shard,
     // and keep appending where the dead worker stopped.
     s->lines.resize(s->hi - s->lo);
     for (const auto &[config, line] : durable) {
-        result_.bestRewards[config] =
-            jsonio::doubleField(line, "bestReward", partialCtx);
-        result_.samplesUsed[config] = static_cast<std::size_t>(
-            jsonio::uintField(line, "samplesUsed", partialCtx));
-        result_.bestActions[config] =
-            jsonio::doubleArrayField(line, "bestAction", partialCtx);
-        // A durable gap record repairs like any other run: the previous
-        // owner already paid the attempts, never re-run.
-        result_.quarantined[config] = hasField(line, "quarantined") ? 1 : 0;
+        ingestResultLine(result_, config, line, partialCtx);
         s->lines[config - s->lo] = line;
         if (s->writer)
             s->writer->appendSerialized(config, frames.at(config)->block);

@@ -2,11 +2,11 @@
 
 #include <atomic>
 #include <cerrno>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
+#include <system_error>
+#include <utility>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -17,10 +17,26 @@ namespace fsio {
 namespace {
 
 [[noreturn]] void
-fail(const std::string &what, const std::string &path)
+fail(const std::string &what, const std::string &path, int err = errno)
 {
-    throw std::runtime_error(what + " " + path + ": " +
-                             std::strerror(errno));
+    throw std::system_error(err, std::generic_category(), what + " " + path);
+}
+
+/** fsync the directory containing `path` (after a rename into it). */
+void
+fsyncParentDir(const std::string &path)
+{
+    std::filesystem::path parent = std::filesystem::path(path).parent_path();
+    if (parent.empty())
+        parent = ".";
+    const int fd = ::open(parent.c_str(), O_RDONLY);
+    if (fd < 0)
+        fail("fsync: cannot open", parent.string());
+    const int rc = ::fsync(fd);
+    const int err = errno;
+    ::close(fd);
+    if (rc != 0)
+        fail("fsync failed on", parent.string(), err);
 }
 
 } // namespace
@@ -36,29 +52,86 @@ fnv1a64(std::string_view bytes)
     return h;
 }
 
-void
-fsyncPath(const std::string &path)
+File
+File::create(const std::string &path)
 {
-    const int fd = ::open(path.c_str(), O_RDONLY);
+    const int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
     if (fd < 0)
-        fail("fsync: cannot open", path);
-    if (::fsync(fd) != 0) {
-        const int err = errno;
-        ::close(fd);
-        errno = err;
-        fail("fsync failed on", path);
+        fail("cannot create", path);
+    return File(fd, path);
+}
+
+std::optional<File>
+File::createExclusive(const std::string &path)
+{
+    const int fd = ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
+    if (fd < 0) {
+        if (errno == EEXIST)
+            return std::nullopt;
+        fail("cannot create", path);
     }
-    ::close(fd);
+    return File(fd, path);
+}
+
+File
+File::appendAfter(const std::string &path, std::size_t keep_bytes)
+{
+    const int fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
+    if (fd < 0)
+        fail("cannot open", path);
+    File file(fd, path);
+    if (::ftruncate(fd, static_cast<off_t>(keep_bytes)) != 0)
+        fail("truncate failed on", path);
+    return file;
+}
+
+File::File(File &&other) noexcept
+    : fd_(std::exchange(other.fd_, -1)), path_(std::move(other.path_))
+{}
+
+File &
+File::operator=(File &&other) noexcept
+{
+    if (this != &other) {
+        close();
+        fd_ = std::exchange(other.fd_, -1);
+        path_ = std::move(other.path_);
+    }
+    return *this;
+}
+
+File::~File()
+{
+    close();
 }
 
 void
-fsyncParentDir(const std::string &path)
+File::write(std::string_view bytes)
 {
-    namespace fs = std::filesystem;
-    fs::path parent = fs::path(path).parent_path();
-    if (parent.empty())
-        parent = ".";
-    fsyncPath(parent.string());
+    while (!bytes.empty()) {
+        const ssize_t n = ::write(fd_, bytes.data(), bytes.size());
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            fail("write failed on", path_);
+        }
+        bytes.remove_prefix(static_cast<std::size_t>(n));
+    }
+}
+
+void
+File::sync()
+{
+    if (::fsync(fd_) != 0)
+        fail("fsync failed on", path_);
+}
+
+void
+File::close() noexcept
+{
+    if (fd_ >= 0)
+        ::close(fd_);
+    fd_ = -1;
 }
 
 std::string
@@ -73,38 +146,21 @@ void
 atomicWriteFile(const std::string &path, const std::string &bytes)
 {
     const std::string tmp = uniqueTmpPath(path);
-    const int fd = ::open(tmp.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-    if (fd < 0)
-        fail("atomicWriteFile: cannot create", tmp);
-    const char *data = bytes.data();
-    std::size_t left = bytes.size();
-    while (left > 0) {
-        const ssize_t n = ::write(fd, data, left);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            const int err = errno;
-            ::close(fd);
-            ::unlink(tmp.c_str());
-            errno = err;
-            fail("atomicWriteFile: write failed on", tmp);
-        }
-        data += n;
-        left -= static_cast<std::size_t>(n);
-    }
-    if (::fsync(fd) != 0) {
-        const int err = errno;
-        ::close(fd);
+    std::optional<File> file = File::createExclusive(tmp);
+    if (!file)
+        fail("atomicWriteFile: cannot create", tmp, EEXIST);
+    try {
+        file->write(bytes);
+        file->sync();
+    } catch (...) {
         ::unlink(tmp.c_str());
-        errno = err;
-        fail("atomicWriteFile: fsync failed on", tmp);
+        throw;
     }
-    ::close(fd);
+    file->close();
     if (::rename(tmp.c_str(), path.c_str()) != 0) {
         const int err = errno;
         ::unlink(tmp.c_str());
-        errno = err;
-        fail("atomicWriteFile: rename failed onto", path);
+        fail("atomicWriteFile: rename failed onto", path, err);
     }
     fsyncParentDir(path);
 }

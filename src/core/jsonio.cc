@@ -83,21 +83,28 @@ stringField(const std::string &text, const std::string &key,
             ++pos;
         out.push_back(text[pos++]);
     }
+    if (pos >= text.size())
+        throw std::runtime_error(context + ": unterminated string for '" +
+                                 key + "'");
     return out;
 }
 
-std::vector<double>
-doubleArrayField(const std::string &text, const std::string &key,
-                 const std::string &context, std::size_t from)
+namespace {
+
+/** `[v,v,...]` of from_chars-parsable numbers; throws unless closed. */
+template <typename T>
+std::vector<T>
+arrayField(const std::string &text, const std::string &key,
+           const std::string &context, std::size_t from)
 {
     std::size_t pos = valuePos(text, key, context, from);
     if (pos >= text.size() || text[pos] != '[')
         throw std::runtime_error(context + ": bad array for '" + key +
                                  "'");
     ++pos;
-    std::vector<double> out;
+    std::vector<T> out;
     while (pos < text.size() && text[pos] != ']') {
-        double value = 0.0;
+        T value{};
         const auto res = std::from_chars(text.data() + pos,
                                          text.data() + text.size(), value);
         if (res.ec != std::errc{})
@@ -108,32 +115,26 @@ doubleArrayField(const std::string &text, const std::string &key,
         if (pos < text.size() && text[pos] == ',')
             ++pos;
     }
+    if (pos >= text.size())
+        throw std::runtime_error(context + ": unterminated array for '" +
+                                 key + "'");
     return out;
+}
+
+} // namespace
+
+std::vector<double>
+doubleArrayField(const std::string &text, const std::string &key,
+                 const std::string &context, std::size_t from)
+{
+    return arrayField<double>(text, key, context, from);
 }
 
 std::vector<std::uint64_t>
 uintArrayField(const std::string &text, const std::string &key,
                const std::string &context, std::size_t from)
 {
-    std::size_t pos = valuePos(text, key, context, from);
-    if (pos >= text.size() || text[pos] != '[')
-        throw std::runtime_error(context + ": bad array for '" + key +
-                                 "'");
-    ++pos;
-    std::vector<std::uint64_t> out;
-    while (pos < text.size() && text[pos] != ']') {
-        std::uint64_t value = 0;
-        const auto res = std::from_chars(text.data() + pos,
-                                         text.data() + text.size(), value);
-        if (res.ec != std::errc{})
-            throw std::runtime_error(context + ": bad array entry for '" +
-                                     key + "'");
-        out.push_back(value);
-        pos = static_cast<std::size_t>(res.ptr - text.data());
-        if (pos < text.size() && text[pos] == ',')
-            ++pos;
-    }
-    return out;
+    return arrayField<std::uint64_t>(text, key, context, from);
 }
 
 } // namespace jsonio

@@ -2,12 +2,10 @@
 
 #include <atomic>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <stdexcept>
 
 #include <fcntl.h>
@@ -16,6 +14,7 @@
 
 #include "core/fault_hooks.h"
 #include "core/fsio.h"
+#include "core/jsonio.h"
 #include "core/resilience.h"
 
 namespace archgym {
@@ -59,35 +58,22 @@ class SweepDirLock
 };
 
 std::string
-renderLease(const std::string &worker, std::uint64_t pid,
-            std::uint64_t nonce, std::uint64_t sequence,
-            std::uint64_t heartbeat_ns)
+renderLease(const LeaseRecord &rec)
 {
-    std::ostringstream os;
-    os << "{\"worker\":\"";
-    for (char c : worker) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-    os << "\",\"pid\":" << pid << ",\"nonce\":" << nonce
-       << ",\"seq\":" << sequence << ",\"heartbeatNs\":" << heartbeat_ns
-       << "}\n";
-    return os.str();
+    return "{\"worker\":\"" + jsonio::escape(rec.workerId) +
+           "\",\"pid\":" + std::to_string(rec.pid) +
+           ",\"nonce\":" + std::to_string(rec.nonce) +
+           ",\"seq\":" + std::to_string(rec.sequence) +
+           ",\"heartbeatNs\":" + std::to_string(rec.heartbeatNs) + "}\n";
 }
 
-/** Parse `"key":<uint>` out of a lease line; false on any mismatch. */
-bool
-leaseUint(const std::string &text, const char *key, std::uint64_t &out)
+/** This process's record of acquisition `nonce`, stamped now. */
+LeaseRecord
+ownRecord(const std::string &worker, std::uint64_t nonce,
+          std::uint64_t sequence)
 {
-    const std::string needle = std::string("\"") + key + "\":";
-    const auto pos = text.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    const char *begin = text.data() + pos + needle.size();
-    const auto res =
-        std::from_chars(begin, text.data() + text.size(), out);
-    return res.ec == std::errc{} && res.ptr != begin;
+    return {worker, static_cast<std::uint64_t>(::getpid()), nonce, sequence,
+            leaseClockNowNs()};
 }
 
 /** Unique-per-acquisition nonce (distinct even within one process). */
@@ -99,17 +85,16 @@ nextNonce()
            (counter.fetch_add(1) + 1);
 }
 
-/** Write a lease record via unique-tmp + rename (atomic refresh). */
+/**
+ * Replace a lease record via unique-tmp + rename (atomic refresh). No
+ * fsync: it would run inside the sweep flock and serialize every
+ * peer's claim behind device latency.
+ */
 void
 writeLeaseFile(const std::string &path, const std::string &bytes)
 {
     const std::string tmp = fsio::uniqueTmpPath(path);
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        out << bytes;
-        if (!out.flush())
-            throw std::runtime_error("lease: cannot write " + tmp);
-    }
+    fsio::File::create(tmp).write(bytes);
     if (::rename(tmp.c_str(), path.c_str()) != 0) {
         const int err = errno;
         ::unlink(tmp.c_str());
@@ -142,29 +127,22 @@ leaseClockNowNs()
 bool
 readLeaseRecord(const std::string &path, LeaseRecord &out)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    const auto workerPos = text.find("\"worker\":\"");
-    if (workerPos == std::string::npos)
-        return false;
-    std::size_t pos = workerPos + std::strlen("\"worker\":\"");
-    std::string worker;
-    while (pos < text.size() && text[pos] != '"') {
-        if (text[pos] == '\\' && pos + 1 < text.size())
-            ++pos;
-        worker.push_back(text[pos++]);
-    }
-    if (pos >= text.size())
-        return false;  // unterminated string: torn write
+    const std::string text = fsio::readFileIfExists(path);
+    const std::string ctx = "lease " + path;
     LeaseRecord rec;
-    rec.workerId = std::move(worker);
-    if (!leaseUint(text, "pid", rec.pid) ||
-        !leaseUint(text, "nonce", rec.nonce) ||
-        !leaseUint(text, "seq", rec.sequence) ||
-        !leaseUint(text, "heartbeatNs", rec.heartbeatNs))
+    try {
+        rec.workerId = jsonio::stringField(text, "worker", ctx);
+        rec.pid = jsonio::uintField(text, "pid", ctx);
+        rec.nonce = jsonio::uintField(text, "nonce", ctx);
+        rec.sequence = jsonio::uintField(text, "seq", ctx);
+        rec.heartbeatNs = jsonio::uintField(text, "heartbeatNs", ctx);
+    } catch (const std::runtime_error &) {
+        return false;
+    }
+    // A torn write leaves a prefix that can still parse (a heartbeat
+    // cut to its leading digits reads as a far older stamp); only a
+    // record that renders back to the same bytes is whole.
+    if (renderLease(rec) != text)
         return false;
     out = std::move(rec);
     return true;
@@ -178,11 +156,8 @@ ShardLease::tryAcquire(const std::string &dir, std::size_t shard,
 
     SweepDirLock lock(dir);
     bool stolen = false;
-    int fd = ::open(leasePath.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-    if (fd < 0) {
-        if (errno != EEXIST)
-            throw std::runtime_error("lease: cannot create " + leasePath +
-                                     ": " + std::strerror(errno));
+    std::optional<fsio::File> file = fsio::File::createExclusive(leasePath);
+    if (!file) {
         LeaseRecord cur;
         const bool parsed = readLeaseRecord(leasePath, cur);
         const std::uint64_t now = leaseClockNowNs();
@@ -193,36 +168,20 @@ ShardLease::tryAcquire(const std::string &dir, std::size_t shard,
         if (!stale)
             return nullptr;  // live owner: shard is busy
         ::unlink(leasePath.c_str());
-        fd = ::open(leasePath.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-        if (fd < 0)
-            throw std::runtime_error("lease: cannot recreate " +
-                                     leasePath + ": " +
-                                     std::strerror(errno));
+        file = fsio::File::createExclusive(leasePath);
+        if (!file)
+            throw std::runtime_error("lease: cannot recreate " + leasePath +
+                                     ": " + std::strerror(EEXIST));
         stolen = true;
     }
 
     const std::uint64_t nonce = nextNonce();
-    const std::string bytes =
-        renderLease(opts.workerId, static_cast<std::uint64_t>(::getpid()),
-                    nonce, 0, leaseClockNowNs());
-    const char *data = bytes.data();
-    std::size_t left = bytes.size();
-    while (left > 0) {
-        const ssize_t n = ::write(fd, data, left);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            const int err = errno;
-            ::close(fd);
-            ::unlink(leasePath.c_str());
-            throw std::runtime_error("lease: write failed on " +
-                                     leasePath + ": " +
-                                     std::strerror(err));
-        }
-        data += n;
-        left -= static_cast<std::size_t>(n);
+    try {
+        file->write(renderLease(ownRecord(opts.workerId, nonce, 0)));
+    } catch (...) {
+        ::unlink(leasePath.c_str());
+        throw;
     }
-    ::close(fd);
 
     return std::unique_ptr<ShardLease>(
         new ShardLease(dir, leasePath, opts, nonce, stolen));
@@ -305,10 +264,8 @@ ShardLease::refreshLocked()
             cur.workerId != opts_.workerId)
             return false;
         ++sequence_;
-        writeLeaseFile(leasePath_,
-                       renderLease(opts_.workerId,
-                                   static_cast<std::uint64_t>(::getpid()),
-                                   nonce_, sequence_, leaseClockNowNs()));
+        writeLeaseFile(leasePath_, renderLease(ownRecord(
+                                       opts_.workerId, nonce_, sequence_)));
         return true;
     } catch (const std::exception &) {
         // Transient I/O trouble: keep the lease, retry next beat. The

@@ -82,8 +82,9 @@ struct LeaseRecord
 };
 
 /**
- * Best-effort lease parse: false on missing or corrupt file (a
- * corrupt lease is treated as stale by claimers).
+ * Best-effort lease parse: false on a missing, corrupt or torn file —
+ * anything but a whole record, byte for byte as the owner wrote it
+ * (claimers treat such a lease as stale).
  */
 bool readLeaseRecord(const std::string &path, LeaseRecord &out);
 

@@ -1,7 +1,6 @@
 #include "trajectory.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <charconv>
 #include <cstring>
 #include <filesystem>
@@ -15,25 +14,12 @@
 #include <stdexcept>
 #include <string_view>
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include "core/fsio.h"
+#include "core/jsonio.h"
 
 namespace archgym {
-
-namespace {
-
-/** Shortest round-trip rendering of a double (to_chars). */
-void
-appendDouble(std::string &out, double v)
-{
-    char buf[32];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    out.append(buf, res.ptr);
-}
-
-} // namespace
 
 void
 TrajectoryLog::writeCsv(std::ostream &os, const ParamSpace &space,
@@ -54,15 +40,15 @@ TrajectoryLog::writeCsv(std::ostream &os, const ParamSpace &space,
         for (double a : t.action) {
             if (!first)
                 line.push_back(',');
-            appendDouble(line, a);
+            jsonio::appendDouble(line, a);
             first = false;
         }
         for (double m : t.observation) {
             line.push_back(',');
-            appendDouble(line, m);
+            jsonio::appendDouble(line, m);
         }
         line.push_back(',');
-        appendDouble(line, t.reward);
+        jsonio::appendDouble(line, t.reward);
         line.push_back('\n');
         os << line;
     }
@@ -306,8 +292,10 @@ Dataset::saveDirectory(const std::string &directory,
         std::ostringstream name;
         name << std::setw(3) << std::setfill('0') << i << "_"
              << logs_[i].agentName() << ".csv";
-        std::ofstream out(fs::path(directory) / name.str());
-        logs_[i].writeCsv(out, space, metric_names);
+        std::ostringstream csv;
+        logs_[i].writeCsv(csv, space, metric_names);
+        fsio::File::create((fs::path(directory) / name.str()).string())
+            .write(csv.str());
     }
 }
 
@@ -386,16 +374,10 @@ StreamingDatasetWriter::StreamingDatasetWriter(
     const std::string &path, const ParamSpace &space,
     std::vector<std::string> metric_names, std::size_t first_index,
     std::size_t count)
-    : space_(space), metricNames_(std::move(metric_names)), path_(path),
-      out_(std::make_unique<std::ofstream>(path, std::ios::trunc)),
-      next_(first_index), end_(first_index + count)
-{
-    if (!*out_)
-        throw std::runtime_error("StreamingDatasetWriter: cannot open " +
-                                 path);
-}
-
-StreamingDatasetWriter::~StreamingDatasetWriter() = default;
+    : space_(space), metricNames_(std::move(metric_names)),
+      out_(fsio::File::create(path)), next_(first_index),
+      end_(first_index + count)
+{}
 
 std::string
 StreamingDatasetWriter::serializeBlock(const TrajectoryLog &log) const
@@ -427,11 +409,11 @@ StreamingDatasetWriter::appendSerialized(std::size_t index,
         pending_.emplace(index, std::move(bytes));
         return;
     }
-    *out_ << bytes;
+    out_.write(bytes);
     ++next_;
     // Drain any successors that were only waiting for this index.
     while (!pending_.empty() && pending_.begin()->first == next_) {
-        *out_ << pending_.begin()->second;
+        out_.write(pending_.begin()->second);
         pending_.erase(pending_.begin());
         ++next_;
     }
@@ -441,22 +423,18 @@ void
 StreamingDatasetWriter::close()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!out_->is_open())
+    if (!out_)
         return;
     if (next_ != end_)
         throw std::runtime_error(
             "StreamingDatasetWriter: closed with runs missing (next " +
             std::to_string(next_) + ", expected " + std::to_string(end_) +
             ")");
-    out_->flush();
-    if (!*out_)
-        throw std::runtime_error(
-            "StreamingDatasetWriter: flush failed on close");
-    out_->close();
     // The file is about to be renamed into place as a completed-shard
     // artifact; fsync first so the rename never publishes empty data
     // blocks after a power loss (see core/fsio.h).
-    fsio::fsyncPath(path_);
+    out_.sync();
+    out_.close();
 }
 
 std::size_t
@@ -475,72 +453,16 @@ namespace {
 constexpr const char *kCrcKey = ",\"crc\":";
 constexpr const char *kFrameMagic = "#@run ";
 
-/** Open a partial file for appending after a truncate-to-valid. */
-int
-openPartialAppend(const std::string &path, std::size_t keep_bytes)
-{
-    const int fd =
-        ::open(path.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
-    if (fd < 0)
-        throw std::runtime_error("partial: cannot open " + path + ": " +
-                                 std::strerror(errno));
-    // Drop a torn/corrupt tail so new records continue after the last
-    // intact one; with O_APPEND every later write lands at the new end.
-    if (::ftruncate(fd, static_cast<off_t>(keep_bytes)) != 0) {
-        const int err = errno;
-        ::close(fd);
-        throw std::runtime_error("partial: truncate failed on " + path +
-                                 ": " + std::strerror(err));
-    }
-    return fd;
-}
-
 } // namespace
 
 ShardPartialWriter::ShardPartialWriter(const std::string &jsonl_path,
                                        const std::string &csvf_path,
                                        std::size_t jsonl_keep_bytes,
                                        std::size_t csvf_keep_bytes)
-    : jsonlPath_(jsonl_path), csvfPath_(csvf_path)
+    : jsonl_(fsio::File::appendAfter(jsonl_path, jsonl_keep_bytes))
 {
-    jsonlFd_ = openPartialAppend(jsonlPath_, jsonl_keep_bytes);
-    if (!csvfPath_.empty()) {
-        try {
-            csvfFd_ = openPartialAppend(csvfPath_, csvf_keep_bytes);
-        } catch (...) {
-            ::close(jsonlFd_);
-            throw;
-        }
-    }
-}
-
-ShardPartialWriter::~ShardPartialWriter()
-{
-    // Crash semantics: close only — the partial files survive so a
-    // repair pass can re-ingest every persisted run.
-    if (jsonlFd_ >= 0)
-        ::close(jsonlFd_);
-    if (csvfFd_ >= 0)
-        ::close(csvfFd_);
-}
-
-void
-ShardPartialWriter::writeAll(int fd, const std::string &bytes,
-                             const std::string &path)
-{
-    const char *data = bytes.data();
-    std::size_t left = bytes.size();
-    while (left > 0) {
-        const ssize_t n = ::write(fd, data, left);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            throw std::runtime_error("partial: write failed on " + path +
-                                     ": " + std::strerror(errno));
-        }
-        data += n;
-        left -= static_cast<std::size_t>(n);
-    }
+    if (!csvf_path.empty())
+        csvf_ = fsio::File::appendAfter(csvf_path, csvf_keep_bytes);
 }
 
 void
@@ -566,7 +488,7 @@ ShardPartialWriter::append(std::size_t config,
     std::lock_guard<std::mutex> lock(mutex_);
     // CSV frame first: a validated result line then implies its block
     // is on disk, so "line present" alone decides run durability.
-    if (csvfFd_ >= 0) {
+    if (csvf_) {
         std::string frame = kFrameMagic;
         frame += std::to_string(config);
         frame += ' ';
@@ -575,24 +497,20 @@ ShardPartialWriter::append(std::size_t config,
         frame += std::to_string(fsio::fnv1a64(csv_block));
         frame += '\n';
         frame += csv_block;
-        writeAll(csvfFd_, frame, csvfPath_);
+        csvf_.write(frame);
     }
-    writeAll(jsonlFd_, jsonlRecord, jsonlPath_);
+    jsonl_.write(jsonlRecord);
 }
 
 void
 ShardPartialWriter::closeAndRemove()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (jsonlFd_ >= 0) {
-        ::close(jsonlFd_);
-        jsonlFd_ = -1;
-        ::unlink(jsonlPath_.c_str());  // ENOENT fine: peer cleaned up
-    }
-    if (csvfFd_ >= 0) {
-        ::close(csvfFd_);
-        csvfFd_ = -1;
-        ::unlink(csvfPath_.c_str());
+    for (fsio::File *file : {&jsonl_, &csvf_}) {
+        if (!*file)
+            continue;
+        file->close();
+        ::unlink(file->path().c_str());  // ENOENT fine: peer cleaned up
     }
 }
 

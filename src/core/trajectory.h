@@ -87,12 +87,12 @@
 
 #include <iosfwd>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "core/environment.h"
+#include "core/fsio.h"
 #include "core/param_space.h"
 #include "mathutil/rng.h"
 
@@ -238,8 +238,8 @@ class Dataset
  * append() is thread-safe and may be called from worker threads in any
  * completion order; blocks are buffered (serialized, not as live logs)
  * until their index is next, so the file bytes depend only on the runs
- * themselves, never on scheduling. close() flushes and closes the
- * stream; it throws if indices in [first_index, first_index + count)
+ * themselves, never on scheduling. close() fsyncs and closes the
+ * file; it throws if indices in [first_index, first_index + count)
  * are still missing, since a gap means the shard is incomplete.
  */
 class StreamingDatasetWriter
@@ -255,7 +255,6 @@ class StreamingDatasetWriter
     StreamingDatasetWriter(const std::string &path, const ParamSpace &space,
                            std::vector<std::string> metric_names,
                            std::size_t first_index, std::size_t count);
-    ~StreamingDatasetWriter();
 
     StreamingDatasetWriter(const StreamingDatasetWriter &) = delete;
     StreamingDatasetWriter &
@@ -272,7 +271,7 @@ class StreamingDatasetWriter
     /** Serialize one trajectory exactly as append() would write it. */
     std::string serializeBlock(const TrajectoryLog &log) const;
 
-    /** Flush, fsync, and close; throws on a missing index. */
+    /** fsync and close; throws on a missing index. */
     void close();
 
     /** Runs written to the file so far (not merely queued). */
@@ -281,8 +280,7 @@ class StreamingDatasetWriter
   private:
     const ParamSpace &space_;
     const std::vector<std::string> metricNames_;
-    const std::string path_;
-    std::unique_ptr<std::ofstream> out_;
+    fsio::File out_;
     mutable std::mutex mutex_;
     std::size_t next_;                          ///< next index to write
     std::size_t end_;                           ///< one past last index
@@ -306,7 +304,9 @@ class StreamingDatasetWriter
  *
  * Construction truncates each file to its validated byte count first
  * (as reported by the readers below), so a repaired shard's new
- * appends continue cleanly after the last intact record.
+ * appends continue cleanly after the last intact record. Destruction
+ * only closes (crash semantics): the files survive for the next
+ * owner's repair pass.
  */
 class ShardPartialWriter
 {
@@ -321,7 +321,6 @@ class ShardPartialWriter
                        const std::string &csvf_path,
                        std::size_t jsonl_keep_bytes,
                        std::size_t csvf_keep_bytes);
-    ~ShardPartialWriter();
 
     ShardPartialWriter(const ShardPartialWriter &) = delete;
     ShardPartialWriter &operator=(const ShardPartialWriter &) = delete;
@@ -339,14 +338,9 @@ class ShardPartialWriter
     void closeAndRemove();
 
   private:
-    void writeAll(int fd, const std::string &bytes,
-                  const std::string &path);
-
-    std::string jsonlPath_;
-    std::string csvfPath_;
     std::mutex mutex_;
-    int jsonlFd_ = -1;
-    int csvfFd_ = -1;
+    fsio::File jsonl_;
+    fsio::File csvf_;  ///< closed when the writer has no CSV
 };
 
 /** One intact run recovered from a .partial.jsonl. */

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -14,12 +15,15 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 
 #include <unistd.h>
 
 #include "core/driver.h"
+#include "core/fsio.h"
 #include "core/hyperparams.h"
+#include "core/jsonio.h"
 #include "core/objective.h"
 #include "core/param_space.h"
 #include "core/toy_envs.h"
@@ -678,6 +682,96 @@ TEST(Dataset, LoadDirectoryThrowsOnUnreadableFile)
             << e.what();
     }
     fs::permissions(locked, fs::perms::owner_all);  // allow cleanup
+}
+
+TEST(Dataset, SaveDirectoryThrowsNamingAnUnwritableFile)
+{
+    // A stream that failed to open used to be written to and dropped
+    // unchecked: the save returned normally having written nothing.
+    namespace fs = std::filesystem;
+    const std::string dir = ::testing::TempDir() + "/archgym_ds_unwritable";
+    fs::remove_all(dir);
+    fs::create_directories(fs::path(dir) / "000_A.csv");
+    ParamSpace space;
+    space.add(ParamDesc::integer("x", 0, 9));
+    Dataset ds;
+    TrajectoryLog log("Env", "A", "");
+    log.append(Transition{{1.0}, {2.0}, 0.5});
+    ds.add(std::move(log));
+    try {
+        ds.saveDirectory(dir, space, {"m"});
+        FAIL() << "save over a directory did not throw";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("000_A.csv"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Fsio, WriteErrorThrowsNamingThePathAndErrno)
+{
+    // /dev/full opens like a file and fails every write with ENOSPC.
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this system";
+    fsio::File file = fsio::File::create("/dev/full");
+    try {
+        file.write("x");
+        FAIL() << "a failed write did not throw";
+    } catch (const std::system_error &e) {
+        EXPECT_EQ(e.code().value(), ENOSPC);
+        EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+            << e.what();
+    }
+}
+
+// --------------------------------------------------------------------
+// jsonio: the metadata readers accept only whole values
+// --------------------------------------------------------------------
+
+/** `fn` throws std::runtime_error naming the context and the key. */
+template <typename Fn>
+void
+expectRejected(Fn &&fn, const std::string &key)
+{
+    try {
+        fn();
+        FAIL() << "accepted a torn value for '" << key << "'";
+    } catch (const std::runtime_error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("ctx"), std::string::npos) << what;
+        EXPECT_NE(what.find("'" + key + "'"), std::string::npos) << what;
+    }
+}
+
+TEST(JsonIo, WholeValuesParse)
+{
+    const std::string text = "{\"env\":\"DRAM\\\"Gym\",\"xs\":[1.5,-2],"
+                             "\"ns\":[3,4],\"empty\":[]}";
+    EXPECT_EQ(jsonio::stringField(text, "env", "ctx"), "DRAM\"Gym");
+    EXPECT_EQ(jsonio::doubleArrayField(text, "xs", "ctx"),
+              (std::vector<double>{1.5, -2.0}));
+    EXPECT_EQ(jsonio::uintArrayField(text, "ns", "ctx"),
+              (std::vector<std::uint64_t>{3, 4}));
+    EXPECT_TRUE(jsonio::uintArrayField(text, "empty", "ctx").empty());
+}
+
+TEST(JsonIo, UnterminatedStringThrows)
+{
+    for (const std::string text :
+         {"{\"env\":\"DRAMGy", "{\"env\":\"", "{\"env\":\"DRAM\\"})
+        expectRejected([&] { jsonio::stringField(text, "env", "ctx"); },
+                       "env");
+}
+
+TEST(JsonIo, UnterminatedArraysThrow)
+{
+    for (const std::string text :
+         {"{\"a\":[1,2", "{\"a\":[1,2,", "{\"a\":["}) {
+        expectRejected([&] { jsonio::doubleArrayField(text, "a", "ctx"); },
+                       "a");
+        expectRejected([&] { jsonio::uintArrayField(text, "a", "ctx"); },
+                       "a");
+    }
 }
 
 // --------------------------------------------------------------------

@@ -633,6 +633,52 @@ TEST(SweepService, LeaseBusyForLivePeerAndRefreshedByHeartbeat)
     second->release();
 }
 
+TEST(SweepService, TornLeaseRecordIsStaleAtEveryPrefix)
+{
+    // A crash mid-create leaves a strict prefix of the lease record.
+    // Cut inside the heartbeat digits, such a prefix used to parse,
+    // with a heartbeat of 1, 12, 123, ... judged fresh or stale by the
+    // host's uptime; every prefix must instead read as corrupt and be
+    // stolen.
+    const std::string dir = tempDir("svc_torn_lease");
+    fs::create_directories(dir);
+    const std::string path = (fs::path(dir) / "shard_0000.lease").string();
+    LeaseOptions opts;
+    opts.workerId = "w";
+    opts.ttlMs = 3600 * 1000;        // the real heartbeat stays fresh
+    opts.heartbeatMs = 3600 * 1000;  // and is never refreshed
+    std::string record;
+    {
+        const auto lease = ShardLease::tryAcquire(dir, 0, opts);
+        ASSERT_NE(lease, nullptr);
+        record = fileBytes(path);
+    }  // dropped unreleased: the file stays, as after a crash
+    ASSERT_GE(record.size(), 2u);
+    ASSERT_EQ(record.substr(record.size() - 2), "}\n");
+
+    const auto writePrefix = [&](std::size_t len) {
+        std::ofstream(path, std::ios::binary | std::ios::trunc)
+            << record.substr(0, len);
+    };
+    // Every prefix shorter than the one that ends in '}'.
+    for (std::size_t len = 0; len + 1 < record.size(); ++len) {
+        SCOPED_TRACE("lease prefix of " + std::to_string(len) + " bytes");
+        writePrefix(len);
+        LeaseRecord rec;
+        EXPECT_FALSE(readLeaseRecord(path, rec));
+        const auto thief = ShardLease::tryAcquire(dir, 0, opts);
+        ASSERT_NE(thief, nullptr);
+        EXPECT_TRUE(thief->stolen());
+    }
+
+    // The whole record is a live owner's.
+    writePrefix(record.size());
+    LeaseRecord rec;
+    ASSERT_TRUE(readLeaseRecord(path, rec));
+    EXPECT_EQ(rec.workerId, "w");
+    EXPECT_EQ(ShardLease::tryAcquire(dir, 0, opts), nullptr);
+}
+
 // --------------------------------------------------------------------
 // Fault isolation: retries, deadlines, quarantine
 // --------------------------------------------------------------------
