@@ -18,6 +18,7 @@
 #include "dramsys/memspec_presets.h"
 #include "dramsys/reference_controller.h"
 #include "dramsys/trace_gen.h"
+#include "dramsys/trace_profile.h"
 
 namespace archgym::dram {
 namespace {
@@ -966,6 +967,63 @@ TEST(GoldenEquivalence, LongRefreshHeavyTraceMatches)
         ReferenceDramController ref(spec, cfg);
         expectIdenticalResults(opt.run(decoded), ref.run(trace),
                                std::string("long/") + toString(sched));
+    }
+}
+
+TEST(GoldenEquivalence, BackToBackTracesAtSmallCapsMatch)
+{
+    // Back-to-back arrivals against a small maxActiveTransactions cap:
+    // a due arrival often waits on the cap with nothing queued, which is
+    // where the run loop's next-event rule decides how far to jump. The
+    // reference steps those cycles one at a time.
+    const MemSpec spec = testSpec();
+    EmbSourceConfig embConfig;
+    embConfig.seed = 5;
+    const auto emb = materialize(*makeEmbSource(embConfig), 300);
+    SdSourceConfig sdConfig;
+    sdConfig.seed = 6;
+    const auto sd =
+        materialize(*makeSdSource(profileTrace(emb), sdConfig), 300);
+    const std::pair<const char *, std::vector<MemoryRequest>> traces[] = {
+        {"streaming", makeTrace(TracePattern::Streaming, 300)},
+        {"cloud2", makeTrace(TracePattern::Cloud2, 300)},
+        {"emb", emb},
+        {"sd", sd},
+    };
+
+    for (const auto &[name, trace] : traces) {
+        const DecodedTrace decoded(spec, trace);
+        for (std::uint32_t cap : {1u, 2u, 4u}) {
+            for (std::uint32_t buffer : {1u, 2u}) {
+                for (auto org : {BufferOrg::Bankwise, BufferOrg::ReadWrite,
+                                 BufferOrg::Shared}) {
+                    for (auto arb :
+                         {ArbiterPolicy::Simple, ArbiterPolicy::Fifo,
+                          ArbiterPolicy::Reorder}) {
+                        for (auto resp : {RespQueuePolicy::Fifo,
+                                          RespQueuePolicy::Reorder}) {
+                            ControllerConfig cfg;
+                            cfg.schedulerBuffer = org;
+                            cfg.arbiter = arb;
+                            cfg.respQueue = resp;
+                            cfg.requestBufferSize = buffer;
+                            cfg.maxActiveTransactions = cap;
+
+                            DramController opt(spec, cfg);
+                            ReferenceDramController ref(spec, cfg);
+                            std::ostringstream label;
+                            label << name << "/cap" << cap << "/buf"
+                                  << buffer << "/" << toString(org) << "/"
+                                  << toString(arb) << "/"
+                                  << toString(resp);
+                            expectIdenticalResults(opt.run(decoded),
+                                                   ref.run(trace),
+                                                   label.str());
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
