@@ -108,6 +108,17 @@ main()
         p.cfg.maxActiveTransactions = 128;
         points.push_back(p);
     }
+    {
+        // One transaction in flight: most cycles a due arrival waits on
+        // the cap with nothing queued, the regime where the loop jumps
+        // to the next retire and the reference steps every cycle.
+        ConfigPoint p;
+        p.name = "frfcfs-bankwise-cap1";
+        p.cfg.scheduler = SchedulerPolicy::FrFcFs;
+        p.cfg.schedulerBuffer = BufferOrg::Bankwise;
+        p.cfg.maxActiveTransactions = 1;
+        points.push_back(p);
+    }
 
     std::printf("DRAM hot-loop throughput (trace=%zu streaming "
                 "requests)\n",

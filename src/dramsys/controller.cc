@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <limits>
+#include <stdexcept>
 
 #include "core/resilience.h"
 
@@ -14,12 +15,32 @@ namespace {
 constexpr std::size_t kReorderWindow = 8;
 constexpr std::size_t kWriteDrainWatermark = 12;
 
+/** A config that can admit no request would make run() loop forever. */
+const ControllerConfig &
+checkedConfig(const ControllerConfig &config)
+{
+    if (config.maxActiveTransactions == 0)
+        throw std::invalid_argument(
+            "DramController: maxActiveTransactions must be at least 1");
+    if (config.requestBufferSize == 0)
+        throw std::invalid_argument(
+            "DramController: requestBufferSize must be at least 1");
+    return config;
+}
+
 } // namespace
 
 DramController::DramController(const MemSpec &spec,
                                const ControllerConfig &config)
-    : spec_(spec), config_(config), addressMap_(spec), device_(spec)
+    : spec_(spec), config_(checkedConfig(config)), addressMap_(spec),
+      device_(spec)
 {
+}
+
+void
+DramController::setConfig(const ControllerConfig &config)
+{
+    config_ = checkedConfig(config);
 }
 
 std::size_t
@@ -184,9 +205,8 @@ DramController::admit(std::uint64_t now)
 }
 
 std::uint32_t
-DramController::schedule(std::uint64_t now)
+DramController::schedule()
 {
-    (void)now;
     if (totalQueued_ == 0)
         return kNone;
 
@@ -542,7 +562,7 @@ DramController::run(const DecodedTrace &trace)
             continue;
         }
 
-        const std::uint32_t pick = schedule(now);
+        const std::uint32_t pick = schedule();
         if (pick != kNone) {
             const std::uint64_t firstIssue = service(pick, now);
             now = std::max(now + 1, firstIssue + 1);
@@ -561,13 +581,27 @@ DramController::run(const DecodedTrace &trace)
             continue;
         }
 
-        // Advance to the next event.
+        // Advance to the next event. Nothing is queued here (schedule()
+        // returns kNone only when totalQueued_ == 0), so an iteration's
+        // outcome depends on `now` through four pieces of state only:
+        //  - retire: retireHeap_.front() frees an active transaction;
+        //  - refresh due: nextRefreshDue_ adds refresh debt;
+        //  - arrival time: a head arrival after `now` becomes due;
+        //  - admission capacity: a head arrival already due was refused
+        //    by admit(). Every queue is empty and has room for at least
+        //    one request (requestBufferSize >= 1), so the refusal came from
+        //    the maxActiveTransactions cap (>= 1), and only a retire can
+        //    lift it. Every admitted request has been serviced, so every
+        //    active transaction has its retire cycle in retireHeap_: the
+        //    refused arrival is not an event of its own.
+        // The refresh pull-in above needs activeTransactions_ == 0, so it
+        // cannot fire while the cap is full, and schedule() does not read
+        // `now`. A cycle skipped by this jump would retire nothing,
+        // accrue no debt, admit nothing and schedule nothing, so the
+        // results equal those of stepping one cycle at a time.
         std::uint64_t next = std::numeric_limits<std::uint64_t>::max();
-        if (arrivalIndex_ < total) {
-            next = std::min(next,
-                            std::max(trace[arrivalIndex_].arrivalCycle,
-                                     now + 1));
-        }
+        if (arrivalIndex_ < total && trace[arrivalIndex_].arrivalCycle > now)
+            next = trace[arrivalIndex_].arrivalCycle;
         if (!retireHeap_.empty()) {
             next = std::min(next,
                             std::max(retireHeap_.front(), now + 1));

@@ -39,6 +39,20 @@
  *    without reallocating. After the first run of a given trace, a run
  *    performs no trace copies and no queue (re)allocations.
  *
+ * The cycle loop is event-driven: when nothing can be scheduled it
+ * jumps `now` to the next cycle at which the next iteration could
+ * differ, the earliest of the next retire, the next refresh due and a
+ * head arrival that is still in the future. A head arrival that is
+ * already due but was refused is not an event of its own: with every
+ * queue empty, only the maxActiveTransactions cap can refuse it, and
+ * only a retire can lift the cap. This needs maxActiveTransactions >= 1
+ * and requestBufferSize >= 1, which the constructor and setConfig()
+ * enforce; with either at 0 no request could ever be admitted. At cap
+ * 1 on back-to-back traffic the rule cuts the loop from 17-36
+ * iterations per request to 2: one to service the request, one to
+ * jump to its retire. The exactness argument is spelled out at the
+ * rule in run().
+ *
  * Behaviour is bit-identical to ReferenceDramController (the seed
  * implementation); tests/test_dramsys.cc enforces this across the full
  * configuration cross-product on all four trace patterns.
@@ -92,6 +106,8 @@ struct SimResult
 class DramController
 {
   public:
+    /** @throws std::invalid_argument naming the field when
+     *  maxActiveTransactions or requestBufferSize is 0. */
     DramController(const MemSpec &spec, const ControllerConfig &config);
 
     /**
@@ -99,8 +115,10 @@ class DramController
      * run() rebuilds the (cheap) derived queue-capacity state. This is
      * how DramGymEnv evaluates a new action per step without
      * reconstructing the controller.
+     * @throws std::invalid_argument as the constructor does; the
+     * current config is kept.
      */
-    void setConfig(const ControllerConfig &config) { config_ = config; }
+    void setConfig(const ControllerConfig &config);
 
     /**
      * Simulate a pre-decoded trace to completion. Zero-copy: the trace
@@ -167,7 +185,7 @@ class DramController
     void admitInto(std::uint32_t request_index, std::uint64_t now);
     void admit(std::uint64_t now);
     /** Index of the next request to service, or kNone. */
-    std::uint32_t schedule(std::uint64_t now);
+    std::uint32_t schedule();
     /** Issue the full command sequence; returns first issue cycle. */
     std::uint64_t service(std::uint32_t request_index, std::uint64_t now);
     void resolveReadCompletion(std::uint32_t request_index);

@@ -9,8 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
+#include <stdexcept>
 
+#include "core/fault_hooks.h"
+#include "core/resilience.h"
 #include "dramsys/controller.h"
 #include "dramsys/decoded_trace.h"
 #include "dramsys/dram_device.h"
@@ -19,6 +23,7 @@
 #include "dramsys/reference_controller.h"
 #include "dramsys/trace_gen.h"
 #include "dramsys/trace_profile.h"
+#include "fault_injection.h"
 
 namespace archgym::dram {
 namespace {
@@ -1024,6 +1029,81 @@ TEST(GoldenEquivalence, BackToBackTracesAtSmallCapsMatch)
                 }
             }
         }
+    }
+}
+
+// --------------------------------------------------------------------
+// Run-loop cost and config validation
+// --------------------------------------------------------------------
+
+std::atomic<std::uint64_t> clockReads{0};
+
+std::uint64_t
+countingClock()
+{
+    clockReads.fetch_add(1, std::memory_order_relaxed);
+    return 1;
+}
+
+TEST(ControllerLoop, CapBlockedArrivalCostsNoIterationPerCycle)
+{
+    // resilience::checkpoint() reads the lease clock once per 4,096 loop
+    // iterations while a deadline is armed, so counting clock reads
+    // bounds the iteration count. At cap 1 a due arrival waits for the
+    // one transaction in flight; the loop must jump to its retire
+    // instead of visiting every cycle in between.
+    testing::FaultHookGuard guard;
+    faultHooks().clockNowNs = &countingClock;
+    const MemSpec spec = testSpec();
+    ControllerConfig cfg;
+    cfg.maxActiveTransactions = 1;
+    for (auto pattern : {TracePattern::Streaming, TracePattern::Cloud2}) {
+        const auto trace = makeTrace(pattern, 20000);
+        const DecodedTrace decoded(spec, trace);
+        DramController opt(spec, cfg);
+        resilience::CancelScope scope("", 60000);
+        clockReads = 0;
+        const SimResult r = opt.run(decoded);
+        const std::uint64_t reads = clockReads;
+        EXPECT_LE(reads * 4096, 3 * trace.size())
+            << toString(pattern) << ": " << reads
+            << " clock reads, over 3 loop iterations per request";
+        ReferenceDramController ref(spec, cfg);
+        expectIdenticalResults(r, ref.run(trace), toString(pattern));
+    }
+}
+
+TEST(Controller, RejectsConfigsThatCanNeverAdmitARequest)
+{
+    // With no transaction slot or no buffer entry no request is ever
+    // admitted, and run() would never return. The deadline turns such a
+    // hang into a RunTimeout instead of a stuck test.
+    const MemSpec spec = testSpec();
+    const auto trace = makeTrace(TracePattern::Streaming, 64);
+    resilience::CancelScope scope("", 3000);
+
+    ControllerConfig noSlot;
+    noSlot.maxActiveTransactions = 0;
+    ControllerConfig noEntry;
+    noEntry.requestBufferSize = 0;
+    for (const auto &[cfg, field] :
+         {std::pair{noSlot, "maxActiveTransactions"},
+          std::pair{noEntry, "requestBufferSize"}}) {
+        try {
+            DramController ctrl(spec, cfg);
+            ctrl.run(trace);
+            ADD_FAILURE() << field << " = 0 was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+                << e.what();
+        } catch (const RunTimeout &) {
+            ADD_FAILURE() << field << " = 0 hung run()";
+        }
+
+        DramController reused(spec, ControllerConfig{});
+        EXPECT_THROW(reused.setConfig(cfg), std::invalid_argument) << field;
+        EXPECT_EQ(reused.config().str(), ControllerConfig{}.str());
+        EXPECT_EQ(reused.run(trace).requests, trace.size());
     }
 }
 
