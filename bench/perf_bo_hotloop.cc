@@ -16,9 +16,11 @@
  *    are pre-filled through observe() only (no GP work), so the timed
  *    region isolates exactly the per-sample surrogate cost.
  *
- *  - predict: queries/sec of GaussianProcess::predictBatch vs a loop
- *    of scalar predict() calls on a fitted 600-point GP, 256 queries
- *    per sweep — the candidate-scoring kernel in isolation.
+ *  - predict / predictMatern52: queries/sec of
+ *    GaussianProcess::predictBatch vs a loop of scalar predict() calls
+ *    on a fitted 600-point GP, 256 queries per sweep — the
+ *    candidate-scoring kernel in isolation, once per GP kernel (the
+ *    BO lottery draws both).
  *
  *  - kernel build: builds/sec of the GEMM-decomposed cross-distance
  *    matrix (crossSquaredDistances) vs the naive per-pair loop at the
@@ -151,6 +153,58 @@ searchStepsPerSec(Environment &env, const std::string &agent_name,
     return static_cast<double>(steps) / seconds(start, now);
 }
 
+struct PredictResult
+{
+    double batchQps = 0.0;
+    double scalarQps = 0.0;
+    double speedup() const { return batchQps / scalarQps; }
+};
+
+/** Queries/sec of predictBatch vs per-query predict() on a GP with the
+ *  given kernel fitted to `points` random 4-d points, `queries` queries
+ *  per sweep. */
+PredictResult
+predictQueriesPerSec(GpKernel kernel, std::size_t points,
+                     std::size_t queries, double &guard)
+{
+    GaussianProcess gp(0.2, 1.0, 1e-4, kernel);
+    {
+        Rng rng(5);
+        std::vector<std::vector<double>> xs;
+        std::vector<double> ys;
+        for (std::size_t i = 0; i < points; ++i) {
+            xs.push_back({rng.uniform(), rng.uniform(), rng.uniform(),
+                          rng.uniform()});
+            ys.push_back(rng.uniform(-2.0, 2.0));
+        }
+        gp.fit(xs, ys);
+    }
+    std::vector<std::vector<double>> qs;
+    {
+        Rng rng(6);
+        for (std::size_t q = 0; q < queries; ++q) {
+            qs.push_back({rng.uniform(), rng.uniform(), rng.uniform(),
+                          rng.uniform()});
+        }
+    }
+    std::vector<double> means, vars;
+    const double batchSweepsPerSec = callsPerSecond([&] {
+        gp.predictBatch(qs, means, vars);
+        guard += means[0] + vars[0];
+    });
+    const double scalarSweepsPerSec = callsPerSecond([&] {
+        for (const auto &q : qs) {
+            double mean, var;
+            gp.predict(q, mean, var);
+            guard += mean + var;
+        }
+    });
+    PredictResult r;
+    r.batchQps = batchSweepsPerSec * static_cast<double>(queries);
+    r.scalarQps = scalarSweepsPerSec * static_cast<double>(queries);
+    return r;
+}
+
 struct WindowResult
 {
     std::size_t window;
@@ -195,51 +249,22 @@ main()
         windows.push_back(r);
     }
 
-    // --- Scalar vs batched GP predict ---------------------------------
+    // --- Scalar vs batched GP predict, per kernel ----------------------
     const std::size_t kGpPoints = 600;
     const std::size_t kQueries = 256;
-    GaussianProcess gp(0.2, 1.0, 1e-4);
-    {
-        Rng rng(5);
-        std::vector<std::vector<double>> xs;
-        std::vector<double> ys;
-        for (std::size_t i = 0; i < kGpPoints; ++i) {
-            xs.push_back({rng.uniform(), rng.uniform(), rng.uniform(),
-                          rng.uniform()});
-            ys.push_back(rng.uniform(-2.0, 2.0));
-        }
-        gp.fit(xs, ys);
-    }
-    std::vector<std::vector<double>> queries;
-    {
-        Rng rng(6);
-        for (std::size_t q = 0; q < kQueries; ++q) {
-            queries.push_back({rng.uniform(), rng.uniform(),
-                               rng.uniform(), rng.uniform()});
-        }
-    }
-    std::vector<double> means, vars;
-    const double batchSweepsPerSec = callsPerSecond([&] {
-        gp.predictBatch(queries, means, vars);
-        guard += means[0] + vars[0];
-    });
-    const double scalarSweepsPerSec = callsPerSecond([&] {
-        for (const auto &q : queries) {
-            double mean, var;
-            gp.predict(q, mean, var);
-            guard += mean + var;
-        }
-    });
-    const double batchQps =
-        batchSweepsPerSec * static_cast<double>(kQueries);
-    const double scalarQps =
-        scalarSweepsPerSec * static_cast<double>(kQueries);
+    const PredictResult predictSe = predictQueriesPerSec(
+        GpKernel::SquaredExponential, kGpPoints, kQueries, guard);
+    const PredictResult predictMatern = predictQueriesPerSec(
+        GpKernel::Matern52, kGpPoints, kQueries, guard);
     std::printf("\nGP predict on %zu training points, %zu queries/sweep "
                 "(queries/sec)\n",
                 kGpPoints, kQueries);
-    std::printf("%-8s %14.1f\n%-8s %14.1f\n%-8s %13.2fx\n", "batch",
-                batchQps, "scalar", scalarQps, "speedup",
-                batchQps / scalarQps);
+    std::printf("%-8s %14s %14s\n", "", "SE", "Matern-5/2");
+    std::printf("%-8s %14.1f %14.1f\n%-8s %14.1f %14.1f\n"
+                "%-8s %13.2fx %13.2fx\n",
+                "batch", predictSe.batchQps, predictMatern.batchQps,
+                "scalar", predictSe.scalarQps, predictMatern.scalarQps,
+                "speedup", predictSe.speedup(), predictMatern.speedup());
 
     // --- GEMM kernel build vs naive pairwise --------------------------
     const std::size_t kDim = 4;
@@ -434,11 +459,16 @@ main()
              << ",\"refitSamplesPerSec\":" << r.refitSamplesPerSec
              << ",\"speedup\":" << r.speedup() << "}";
     }
-    json << "],\"predict\":{\"config\":\"n" << kGpPoints << "m"
-         << kQueries << "\",\"batchQueriesPerSec\":" << batchQps
-         << ",\"scalarQueriesPerSec\":" << scalarQps
-         << ",\"speedup\":" << batchQps / scalarQps
-         << "},\"kernelBuild\":{\"config\":\"n" << kGpPoints << "m"
+    const auto predictJson = [&](const char *key, const PredictResult &r) {
+        json << ",\"" << key << "\":{\"config\":\"n" << kGpPoints << "m"
+             << kQueries << "\",\"batchQueriesPerSec\":" << r.batchQps
+             << ",\"scalarQueriesPerSec\":" << r.scalarQps
+             << ",\"speedup\":" << r.speedup() << "}";
+    };
+    json << "]";
+    predictJson("predict", predictSe);
+    predictJson("predictMatern52", predictMatern);
+    json << ",\"kernelBuild\":{\"config\":\"n" << kGpPoints << "m"
          << kQueries << "d" << kDim
          << "\",\"gemmBuildsPerSec\":" << gemmBuildsPerSec
          << ",\"naiveBuildsPerSec\":" << naiveBuildsPerSec

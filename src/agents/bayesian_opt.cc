@@ -10,6 +10,12 @@
 #include <stdexcept>
 #include <string>
 
+#if defined(__AVX__)
+#include <immintrin.h>
+#endif
+
+#include "core/jsonio.h"
+
 namespace archgym {
 
 namespace {
@@ -33,9 +39,9 @@ normalPdf(double z)
  * operation sequence (same constants, same Horner order; nothing
  * contracts under -ffp-contract=off) and therefore produce bitwise
  * identical results. Every kernel evaluation in this file — fit,
- * scalar predict, and the batched GEMM kernel map — routes through
- * these, which is what keeps the vectorized cross-kernel sweep
- * EXPECT_DOUBLE_EQ-equal to the scalar predict path.
+ * scalar predict, and the batched kernel map — routes through these,
+ * which is what keeps the vectorized kernel map bitwise equal to the
+ * scalar predict path.
  *
  * Cody-Waite reduction: n = round(x * log2(e)) via the 1.5*2^52
  * shifter trick (the round-to-nearest result lands in the mantissa low
@@ -127,7 +133,60 @@ expNeg4(V4d x)
     const V4d scale = (V4d)((ni + 1023ll) << 52);
     return p * scale;
 }
+
+/** Lane-wise sqrt. IEEE-754 rounds sqrt correctly, so every lane equals
+ *  std::sqrt of the same input in either form; under AVX one vsqrtpd
+ *  does all four lanes. */
+inline V4d
+sqrt4(V4d x)
+{
+#if defined(__AVX__)
+    return (V4d)_mm256_sqrt_pd((__m256d)x);
+#else
+    return V4d{std::sqrt(x[0]), std::sqrt(x[1]), std::sqrt(x[2]),
+               std::sqrt(x[3])};
 #endif
+}
+#endif
+
+/**
+ * The BO surrogate from the agent's hyperparameters, each checked
+ * against its domain because any of them can arrive from the command
+ * line: a static_cast of an unknown kernel id would silently run SE,
+ * and a zero or non-finite length scale or variance makes the kernel
+ * matrix NaN, so every refit fails and the search silently keeps
+ * proposing from the prior.
+ */
+GaussianProcess
+surrogateFromHyperParams(const HyperParams &hp)
+{
+    const std::int64_t kernel = hp.getInt("kernel", 0);
+    if (kernel < 0 || kernel > 1) {
+        throw std::runtime_error(
+            "BayesianOptAgent: hyperparameter 'kernel' is " +
+            std::to_string(kernel) +
+            ", valid kernels are 0 (squared-exponential), 1 (Matern-5/2)");
+    }
+    const auto checked = [&hp](const char *name, double fallback,
+                               bool zero_ok) {
+        const double v = hp.get(name, fallback);
+        if (!std::isfinite(v) || v < 0.0 || (v == 0.0 && !zero_ok)) {
+            std::string what = "BayesianOptAgent: hyperparameter '";
+            what += name;
+            what += "' is ";
+            jsonio::appendDouble(what, v);
+            what += zero_ok ? ", must be finite and >= 0"
+                            : ", must be finite and > 0";
+            throw std::runtime_error(what);
+        }
+        return v;
+    };
+    const double lengthScale = checked("length_scale", 0.2, false);
+    const double signalVar = checked("signal_var", 1.0, false);
+    const double noiseVar = checked("noise_var", 1e-4, true);
+    return GaussianProcess(lengthScale, signalVar, noiseVar,
+                           static_cast<GpKernel>(kernel));
+}
 
 } // namespace
 
@@ -149,6 +208,57 @@ GaussianProcess::kernelFromSquaredDistance(double d2) const
     }
     return signalVar_ *
            expNeg(-d2 / (2.0 * lengthScale_ * lengthScale_));
+}
+
+void
+GaussianProcess::mapKernel(double *d2, std::size_t len) const
+{
+    std::size_t j = 0;
+#if defined(__GNUC__) || defined(__clang__)
+    // Each vector body is the lane-wise twin of its branch in
+    // kernelFromSquaredDistance: the same operations in the same
+    // order, so every full lane is bitwise equal to the scalar
+    // remainder loop below. sqrt and division round correctly in both
+    // forms and expNeg4 twins expNeg; /l and /3 must stay divisions (a
+    // multiply by the reciprocal rounds differently).
+    const std::size_t full = len - len % 4;
+    const V4d sv = broadcast4(signalVar_);
+    if (kernelKind_ == GpKernel::Matern52) {
+        const V4d lv = broadcast4(lengthScale_);
+        const V4d root5 = broadcast4(std::sqrt(5.0));
+        const V4d one = broadcast4(1.0);
+        const V4d five = broadcast4(5.0);
+        const V4d three = broadcast4(3.0);
+        for (; j < full; j += 4) {
+            const V4d r = sqrt4(loadu4(d2 + j)) / lv;
+            const V4d s = root5 * r;
+            storeu4(d2 + j, sv * (one + s + five * r * r / three) *
+                                expNeg4(-s));
+        }
+    } else {
+        const V4d twoL2 = broadcast4(2.0 * lengthScale_ * lengthScale_);
+        for (; j < full; j += 4)
+            storeu4(d2 + j, sv * expNeg4(-loadu4(d2 + j) / twoL2));
+    }
+#endif
+    for (; j < len; ++j)
+        d2[j] = kernelFromSquaredDistance(d2[j]);
+}
+
+Matrix
+GaussianProcess::kernelGram(const std::vector<std::vector<double>> &xs) const
+{
+    const std::size_t n = xs.size();
+    Matrix k(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+        double *ki = &k(i, 0);
+        for (std::size_t j = 0; j <= i; ++j)
+            ki[j] = squaredDistance(xs[i], xs[j]);
+        mapKernel(ki, i + 1);
+        for (std::size_t j = 0; j < i; ++j)
+            k(j, i) = ki[j];
+    }
+    return k;
 }
 
 double
@@ -194,15 +304,9 @@ GaussianProcess::refitFromMembers()
     standardizeTargets();
 
     const std::size_t n = xs_.size();
-    Matrix k(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j <= i; ++j) {
-            const double v = kernel(xs_[i], xs_[j]);
-            k(i, j) = v;
-            k(j, i) = v;
-        }
+    Matrix k = kernelGram(xs_);
+    for (std::size_t i = 0; i < n; ++i)
         k(i, i) += noiseVar_;
-    }
     chol_ = std::make_unique<Cholesky>(k);
     ++facEpoch_;
     if (!chol_->ok())
@@ -258,11 +362,14 @@ GaussianProcess::appendFit(const std::vector<double> &x, double y,
         return;
     }
 
+    // Bordering column: the new point's squared distances to every
+    // member, itself last, mapped in one pass.
     const std::size_t n = xs_.size() - 1;
     std::vector<double> col(n + 1);
-    for (std::size_t i = 0; i < n; ++i)
-        col[i] = kernel(xs_.back(), xs_[i]);
-    col[n] = kernel(xs_.back(), xs_.back()) + noiseVar_;
+    for (std::size_t i = 0; i <= n; ++i)
+        col[i] = squaredDistance(xs_.back(), xs_[i]);
+    mapKernel(col.data(), n + 1);
+    col[n] += noiseVar_;
     if (!chol_->append(col)) {
         refitFromMembers();
         return;
@@ -366,7 +473,7 @@ GaussianProcess::stageCrossSolve(const std::vector<std::vector<double>> &xs,
     const std::size_t facLen = n * (n + 1) / 2;
     PredictStage st;
     std::size_t need = facLen + n * m        // fac, cross
-                       + dim_ * m + m;       // qt, qnorms
+                       + dim_ * m + 2 * m;   // qt, qnorms, prior
     if (want_kstar)
         need += n * m + m * dim_ + m * m;    // kstar, qpack, kss
     if (predictArena_.size() < need) {
@@ -381,6 +488,8 @@ GaussianProcess::stageCrossSolve(const std::vector<std::vector<double>> &xs,
     st.qt = p;
     p += dim_ * m;
     st.qnorms = p;
+    p += m;
+    double *prior = p;  // k(x, x) per query
     p += m;
     if (want_kstar) {
         st.kstar = p;
@@ -405,59 +514,27 @@ GaussianProcess::stageCrossSolve(const std::vector<std::vector<double>> &xs,
             qn += q[k] * q[k];
         }
         st.qnorms[j] = qn;
+        prior[j] = squaredDistance(q, q);
         if (want_kstar) {
             std::copy(q.begin(), q.end(), st.qpack + j * dim_);
         }
     }
     // Cross squared distances in one blocked GEMM pass, then the
-    // kernel map with the posterior means falling out during the sweep
-    // (same accumulation order as dot(kStar, alpha_) in the scalar
-    // path). Column j of the cross block is k* for query j.
+    // kernel map one row at a time, the posterior means accumulating
+    // while the row is hot (i ascending per column, the order of
+    // dot(kStar, alpha_) in the scalar path). Column j of the cross
+    // block is k* for query j.
     crossSquaredDistances(trainPacked_.data(), trainNorms_.data(), n,
                           st.qt, st.qnorms, m, dim_, st.cross);
     means.resize(m);
     variances.resize(m);
     std::fill(means.begin(), means.end(), 0.0);
-#if defined(__GNUC__) || defined(__clang__)
-    if (kernelKind_ == GpKernel::SquaredExponential) {
-        // Vector fast path for the squared-exponential map: expNeg4 is
-        // the lane-wise twin of the expNeg inside
-        // kernelFromSquaredDistance, and the argument is built with
-        // the same operations ((-d2) / ((2*l)*l), then signalVar_ *
-        // exp), so every full lane is bitwise equal to the scalar
-        // remainder loop below it.
-        const V4d twoL2v =
-            broadcast4(2.0 * lengthScale_ * lengthScale_);
-        const V4d sv = broadcast4(signalVar_);
-        const std::size_t full = m - m % 4;
-        for (std::size_t i = 0; i < n; ++i) {
-            double *row = st.cross + i * m;
-            const double ai = alpha_[i];
-            const V4d aiv = broadcast4(ai);
-            for (std::size_t j = 0; j < full; j += 4) {
-                const V4d v = sv * expNeg4(-loadu4(row + j) / twoL2v);
-                storeu4(row + j, v);
-                storeu4(means.data() + j,
-                        loadu4(means.data() + j) + v * aiv);
-            }
-            for (std::size_t j = full; j < m; ++j) {
-                const double v = kernelFromSquaredDistance(row[j]);
-                row[j] = v;
-                means[j] += v * ai;
-            }
-        }
-    } else
-#endif
-    {
-        for (std::size_t i = 0; i < n; ++i) {
-            double *row = st.cross + i * m;
-            const double ai = alpha_[i];
-            for (std::size_t j = 0; j < m; ++j) {
-                const double v = kernelFromSquaredDistance(row[j]);
-                row[j] = v;
-                means[j] += v * ai;
-            }
-        }
+    for (std::size_t i = 0; i < n; ++i) {
+        double *row = st.cross + i * m;
+        mapKernel(row, m);
+        const double ai = alpha_[i];
+        for (std::size_t j = 0; j < m; ++j)
+            means[j] += row[j] * ai;
     }
     if (want_kstar)
         std::copy(st.cross, st.cross + n * m, st.kstar);
@@ -474,9 +551,9 @@ GaussianProcess::stageCrossSolve(const std::vector<std::vector<double>> &xs,
         for (std::size_t j = 0; j < m; ++j)
             variances[j] += row[j] * row[j];
     }
+    mapKernel(prior, m);
     for (std::size_t j = 0; j < m; ++j) {
-        const double rawVar =
-            std::max(kernel(xs[j], xs[j]) - variances[j], 1e-12);
+        const double rawVar = std::max(prior[j] - variances[j], 1e-12);
         means[j] = yMean_ + yStd_ * means[j];
         variances[j] = yStd_ * yStd_ * rawVar;
     }
@@ -522,12 +599,10 @@ GaussianProcess::posteriorJoint(const std::vector<std::vector<double>> &xs,
         std::fill(variances.begin(), variances.end(),
                   yStd_ * yStd_ * signalVar_);
         const double s2 = yStd_ * yStd_;
+        cov = kernelGram(xs);
         for (std::size_t i = 0; i < m; ++i)
-            for (std::size_t j = 0; j <= i; ++j) {
-                const double v = s2 * kernel(xs[i], xs[j]);
-                cov(i, j) = v;
-                cov(j, i) = v;
-            }
+            for (std::size_t j = 0; j < m; ++j)
+                cov(i, j) = s2 * cov(i, j);
         return;
     }
     const std::size_t n = xs_.size();
@@ -539,8 +614,7 @@ GaussianProcess::posteriorJoint(const std::vector<std::vector<double>> &xs,
     solveUpperPackedBatch(st.fac, n, st.cross, m);
     crossSquaredDistances(st.qpack, st.qnorms, m, st.qt, st.qnorms, m,
                           dim_, st.kss);
-    for (std::size_t j = 0; j < m * m; ++j)
-        st.kss[j] = kernelFromSquaredDistance(st.kss[j]);
+    mapKernel(st.kss, m * m);
     for (std::size_t i = 0; i < n; ++i) {
         const double *ks = st.kstar + i * m;
         const double *ai = st.cross + i * m;
@@ -610,9 +684,7 @@ GaussianProcess::samplePosteriorBatch(
 BayesianOptAgent::BayesianOptAgent(const ParamSpace &space, HyperParams hp,
                                    std::uint64_t seed)
     : Agent("BO", space, std::move(hp)), rng_(seed), seed_(seed),
-      gp_(hp_.get("length_scale", 0.2), hp_.get("signal_var", 1.0),
-          hp_.get("noise_var", 1e-4),
-          static_cast<GpKernel>(hp_.getInt("kernel", 0)))
+      gp_(surrogateFromHyperParams(hp_))
 {
     nInit_ = static_cast<std::size_t>(
         std::max<std::int64_t>(2, hp_.getInt("n_init", 8)));

@@ -3,7 +3,8 @@
  * Bayesian-optimization agent (paper §3.2, Table 2).
  *
  * The policy is a Gaussian-process surrogate model over the unit-cube
- * embedding of the parameter space with a squared-exponential kernel.
+ * embedding of the parameter space with a squared-exponential or
+ * Matern-5/2 kernel.
  * Exploration/exploitation is governed by the acquisition function (Q3):
  * expected improvement, upper confidence bound, or probability of
  * improvement. The acquisition is maximized over a random candidate set
@@ -203,9 +204,23 @@ class GaussianProcess
     void solveAlpha();
     /** Recompute y standardization and alpha against chol_. */
     void recomputeAlpha();
-    /** Covariance value from a squared distance (the shared kernel
-     *  formula both the scalar and GEMM-built paths apply). */
+    /** Covariance value from a squared distance: the one kernel
+     *  formula, and the oracle that scalar predict()/kernel() apply. */
     double kernelFromSquaredDistance(double d2) const;
+    /**
+     * The kernel map every block of kernel values goes through:
+     * overwrite d2[0, len) with kernelFromSquaredDistance of each
+     * entry. Four lanes at a time for both kernels (lane-wise twins of
+     * the scalar formula, so each lane is bitwise equal to it), the
+     * scalar call for the remainder. Sites: kernelGram (refit Gram
+     * rows, posteriorJoint's pre-fit prior), appendFit's bordering
+     * column, stageCrossSolve's cross block and per-query prior
+     * k(x, x), and posteriorJoint's m x m query block.
+     */
+    void mapKernel(double *d2, std::size_t len) const;
+    /** Symmetric kernel matrix K(xs, xs), each row's lower triangle
+     *  through mapKernel and mirrored. */
+    Matrix kernelGram(const std::vector<std::vector<double>> &xs) const;
     /** Rebuild trainPacked_/trainNorms_ from xs_. */
     void rebuildTrainCache();
 
@@ -224,14 +239,15 @@ class GaussianProcess
     /**
      * Stage the arena for an m-query block and run the shared half of
      * every batched posterior query: pack/transpose the queries, build
-     * the cross-kernel block through the GEMM distance decomposition,
-     * accumulate posterior means, forward-solve the block in place,
-     * and finalize means/variances in original y units. With
-     * want_kstar a copy of the unsolved K* block (and the query
-     * self-distance scratch) is staged as well for the covariance
-     * path. predictBatch is exactly this call; posteriorJoint extends
-     * it with the backward solve — running the identical code makes
-     * their mean/variance outputs bitwise equal by construction.
+     * the cross-kernel block through the GEMM distance decomposition
+     * and mapKernel, accumulate posterior means, forward-solve the
+     * block in place, and finalize means/variances in original y
+     * units. With want_kstar a copy of the unsolved K* block (and the
+     * query self-distance scratch) is staged as well for the
+     * covariance path. predictBatch is exactly this call;
+     * posteriorJoint extends it with the backward solve — running the
+     * identical code makes their mean/variance outputs bitwise equal
+     * by construction.
      *
      * @pre fitted_
      */
@@ -266,14 +282,14 @@ class GaussianProcess
      * predictBatch/posteriorJoint arena, reused across calls: a copy
      * of the packed factor, the n x m cross-kernel block, the
      * transposed query block (dim x m) the GEMM distance kernel
-     * streams, the query norms/packed queries, and — for
-     * posteriorJoint only — a preserved K* copy and the m x m query
-     * self-distance block, all in one aligned allocation. Co-locating
-     * the factor and the cross block the blocked solve interleaves is
-     * worth ~3x over separately allocated buffers (whose relative
-     * placement is at the allocator's mercy); the factor copy is
-     * O(n^2) bytes once per refit — noise next to the O(n^2 m) solve
-     * it accelerates.
+     * streams, the query norms, the per-query prior k(x, x), the packed
+     * queries, and — for posteriorJoint only — a preserved K* copy and
+     * the m x m query self-distance block, all in one aligned
+     * allocation. Co-locating the factor and the cross block the
+     * blocked solve interleaves is worth ~3x over separately allocated
+     * buffers (whose relative placement is at the allocator's mercy);
+     * the factor copy is O(n^2) bytes once per refit — noise next to
+     * the O(n^2 m) solve it accelerates.
      */
     mutable AlignedVector predictArena_;
     mutable std::vector<double> jointMeansScratch_;
@@ -315,9 +331,9 @@ class BayesianOptAgent : public Agent
     /**
      * Hyperparameters:
      *  - n_init         (random warmup samples, default 8)
-     *  - length_scale   (default 0.2)
-     *  - signal_var     (default 1.0)
-     *  - noise_var      (default 1e-4)
+     *  - length_scale   (finite, > 0; default 0.2)
+     *  - signal_var     (finite, > 0; default 1.0)
+     *  - noise_var      (finite, >= 0; default 1e-4)
      *  - kernel         (0 squared-exponential, 1 Matern-5/2; default 0)
      *  - acquisition    (0 EI, 1 UCB, 2 PI, 3 ThompsonBatch, 4 BatchEI;
      *                    default 0; out-of-range values throw)
@@ -332,6 +348,9 @@ class BayesianOptAgent : public Agent
      *                    every history change and per-candidate scalar
      *                    predicts; default 0. For equivalence tests and
      *                    the perf_bo_hotloop seed-vs-now comparison.)
+     *
+     * Out-of-domain acquisition, kernel, length_scale, signal_var and
+     * noise_var values throw, naming the field and the value.
      */
     BayesianOptAgent(const ParamSpace &space, HyperParams hp,
                      std::uint64_t seed);

@@ -13,7 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iomanip>
 #include <limits>
 #include <memory>
 #include <set>
@@ -674,6 +677,45 @@ TEST(GaussianProcessModel, SlidingWindowDowndateMatchesRefit)
     }
 }
 
+/** Bitwise equality of two doubles. EXPECT_DOUBLE_EQ allows 4 ulps,
+ *  which would hide a vector lane that is one ulp off its scalar twin. */
+::testing::AssertionResult
+sameBits(double a, double b)
+{
+    if (std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b))
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << std::setprecision(17) << a << " vs " << b;
+}
+
+/** The length scales the BO lottery grid draws. */
+const double kLotteryLengthScales[] = {0.05, 0.1, 0.2, 0.4};
+
+/**
+ * Queries that reach every corner of the kernel map, 4-d: a training
+ * point (squared distance exactly 0), a 1e-9 perturbation of one (the
+ * GEMM decomposition cancels to roundoff, clamped at 0), a far point
+ * that drives expNeg into its -708 clamp for both kernels at length
+ * scale 0.05, random points, and a training point again in the last
+ * slot. The count, 33, is not a multiple of 4, so the last query
+ * takes the scalar remainder while the edge cases sit in vector
+ * lanes.
+ */
+std::vector<std::vector<double>>
+kernelEdgeQueries(const std::vector<std::vector<double>> &train, Rng &rng)
+{
+    std::vector<double> nudged = train[5];
+    nudged[0] += 1e-9;
+    std::vector<std::vector<double>> queries = {
+        train[3], nudged, {40.0, -40.0, 40.0, -40.0}};
+    while (queries.size() < 32) {
+        queries.push_back(
+            {rng.uniform(), rng.uniform(), rng.uniform(), rng.uniform()});
+    }
+    queries.push_back(train[11]);
+    return queries;
+}
+
 TEST(GaussianProcessModel, PredictBatchBitIdenticalToScalarPredict)
 {
     // predictBatch promises bitwise equality with per-point predict —
@@ -683,35 +725,38 @@ TEST(GaussianProcessModel, PredictBatchBitIdenticalToScalarPredict)
     std::vector<std::vector<double>> xs;
     std::vector<double> ys;
     for (int i = 0; i < 25; ++i) {
-        xs.push_back({rng.uniform(), rng.uniform(), rng.uniform()});
+        xs.push_back(
+            {rng.uniform(), rng.uniform(), rng.uniform(), rng.uniform()});
         ys.push_back(rng.uniform(-3.0, 3.0));
     }
     for (const GpKernel kernel :
          {GpKernel::SquaredExponential, GpKernel::Matern52}) {
-        GaussianProcess gp(0.3, 1.5, 1e-4, kernel);
-        gp.fit(xs, ys);
-        ASSERT_TRUE(gp.fitted());
+        for (const double lengthScale : kLotteryLengthScales) {
+            GaussianProcess gp(lengthScale, 1.5, 1e-4, kernel);
+            gp.fit(xs, ys);
+            ASSERT_TRUE(gp.fitted());
 
-        std::vector<std::vector<double>> queries;
-        for (int q = 0; q < 33; ++q) {
-            queries.push_back(
-                {rng.uniform(), rng.uniform(), rng.uniform()});
-        }
-        std::vector<double> means, vars;
-        for (int pass = 0; pass < 2; ++pass) {
-            gp.predictBatch(queries, means, vars);
-            ASSERT_EQ(means.size(), queries.size());
-            for (std::size_t q = 0; q < queries.size(); ++q) {
-                double mean, var;
-                gp.predict(queries[q], mean, var);
-                EXPECT_DOUBLE_EQ(means[q], mean) << "query " << q;
-                EXPECT_DOUBLE_EQ(vars[q], var) << "query " << q;
+            const auto queries = kernelEdgeQueries(xs, rng);
+            std::vector<double> means, vars;
+            for (int pass = 0; pass < 2; ++pass) {
+                gp.predictBatch(queries, means, vars);
+                ASSERT_EQ(means.size(), queries.size());
+                for (std::size_t q = 0; q < queries.size(); ++q) {
+                    double mean, var;
+                    gp.predict(queries[q], mean, var);
+                    const std::string what =
+                        "kernel " + std::to_string(int(kernel)) +
+                        " l=" + std::to_string(lengthScale) + " query " +
+                        std::to_string(q);
+                    EXPECT_TRUE(sameBits(means[q], mean)) << what;
+                    EXPECT_TRUE(sameBits(vars[q], var)) << what;
+                }
             }
+            std::vector<double> emptyMeans, emptyVars;
+            gp.predictBatch({}, emptyMeans, emptyVars);
+            EXPECT_TRUE(emptyMeans.empty());
+            EXPECT_TRUE(emptyVars.empty());
         }
-        std::vector<double> emptyMeans, emptyVars;
-        gp.predictBatch({}, emptyMeans, emptyVars);
-        EXPECT_TRUE(emptyMeans.empty());
-        EXPECT_TRUE(emptyVars.empty());
     }
 }
 
@@ -763,23 +808,26 @@ TEST(BayesianOpt, SteadyStateDowndatePathTracksReferenceImpl)
     // batched-predict machinery changes the arithmetic path, not the
     // search (any drift here would be a numerics bug far above the
     // 1e-8 GP-posterior tolerance).
-    QuadraticEnv optEnv({7.0, 21.0}), refEnv({7.0, 21.0});
-    HyperParams opt{{"max_history", 24},
-                    {"num_candidates", 32},
-                    {"n_init", 6}};
-    HyperParams ref = opt;
-    ref.set("reference_impl", 1);
-    BayesianOptAgent optAgent(optEnv.actionSpace(), opt, 42);
-    BayesianOptAgent refAgent(refEnv.actionSpace(), ref, 42);
-    RunConfig cfg;
-    cfg.maxSamples = 90;
-    const RunResult optRun = runSearch(optEnv, optAgent, cfg);
-    const RunResult refRun = runSearch(refEnv, refAgent, cfg);
-    ASSERT_EQ(optRun.rewardHistory.size(), refRun.rewardHistory.size());
-    for (std::size_t i = 0; i < optRun.rewardHistory.size(); ++i) {
-        EXPECT_NEAR(optRun.rewardHistory[i], refRun.rewardHistory[i],
-                    1e-7)
-            << "sample " << i;
+    for (const int kernel : {0, 1}) {
+        QuadraticEnv optEnv({7.0, 21.0}), refEnv({7.0, 21.0});
+        HyperParams opt{{"max_history", 24},
+                        {"num_candidates", 32},
+                        {"n_init", 6},
+                        {"kernel", kernel}};
+        HyperParams ref = opt;
+        ref.set("reference_impl", 1);
+        BayesianOptAgent optAgent(optEnv.actionSpace(), opt, 42);
+        BayesianOptAgent refAgent(refEnv.actionSpace(), ref, 42);
+        RunConfig cfg;
+        cfg.maxSamples = 90;
+        const RunResult optRun = runSearch(optEnv, optAgent, cfg);
+        const RunResult refRun = runSearch(refEnv, refAgent, cfg);
+        ASSERT_EQ(optRun.rewardHistory.size(), refRun.rewardHistory.size());
+        for (std::size_t i = 0; i < optRun.rewardHistory.size(); ++i) {
+            EXPECT_NEAR(optRun.rewardHistory[i], refRun.rewardHistory[i],
+                        1e-7)
+                << "kernel " << kernel << " sample " << i;
+        }
     }
 }
 
@@ -860,6 +908,54 @@ TEST(BayesianOpt, OutOfRangeAcquisitionThrows)
     }
 }
 
+TEST(BayesianOpt, OutOfRangeGpHyperparametersThrow)
+{
+    // Regression: an unknown kernel id silently ran SE, and a zero
+    // length scale made every kernel diagonal NaN, so each refit
+    // failed and the search kept proposing from the prior. Each
+    // out-of-domain value must throw, naming the field and the value.
+    QuadraticEnv env({5.0, 5.0});
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<std::pair<std::string, double>> bad = {
+        {"kernel", -1},         {"kernel", 2},
+        {"length_scale", 0.0},  {"length_scale", -0.2},
+        {"length_scale", nan},  {"length_scale", inf},
+        {"signal_var", 0.0},    {"signal_var", -1.0},
+        {"signal_var", inf},    {"noise_var", -1e-4},
+        {"noise_var", nan},     {"noise_var", inf},
+    };
+    for (const auto &[field, value] : bad) {
+        HyperParams hp;
+        hp.set(field, value);
+        try {
+            BayesianOptAgent agent(env.actionSpace(), hp, 7);
+            FAIL() << field << "=" << value << " did not throw";
+        } catch (const std::runtime_error &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("'" + field + "' is "), std::string::npos)
+                << what;
+        }
+    }
+    try {
+        BayesianOptAgent agent(env.actionSpace(), {{"length_scale", 0.0}},
+                               7);
+        FAIL() << "length_scale=0 did not throw";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("is 0, must be finite and > 0"),
+                  std::string::npos)
+            << e.what();
+    }
+    // The domain boundaries construct fine.
+    for (const HyperParams &good :
+         {HyperParams{{"kernel", 0}}, HyperParams{{"kernel", 1}},
+          HyperParams{{"noise_var", 0.0}},
+          HyperParams{{"length_scale", 1e-9}, {"signal_var", 1e-9}}}) {
+        EXPECT_NO_THROW(BayesianOptAgent(env.actionSpace(), good, 7))
+            << good.str();
+    }
+}
+
 TEST(GaussianProcessModel, PosteriorJointMatchesPredictBatch)
 {
     // posteriorJoint's means/variances run through the exact code
@@ -871,35 +967,40 @@ TEST(GaussianProcessModel, PosteriorJointMatchesPredictBatch)
     std::vector<std::vector<double>> xs;
     std::vector<double> ys;
     for (int i = 0; i < 30; ++i) {
-        xs.push_back({rng.uniform(), rng.uniform()});
+        xs.push_back(
+            {rng.uniform(), rng.uniform(), rng.uniform(), rng.uniform()});
         ys.push_back(rng.uniform(-2.0, 2.0));
     }
     for (const GpKernel kernel :
          {GpKernel::SquaredExponential, GpKernel::Matern52}) {
-        GaussianProcess gp(0.25, 1.2, 1e-4, kernel);
-        gp.fit(xs, ys);
-        ASSERT_TRUE(gp.fitted());
+        for (const double lengthScale : kLotteryLengthScales) {
+            GaussianProcess gp(lengthScale, 1.2, 1e-4, kernel);
+            gp.fit(xs, ys);
+            ASSERT_TRUE(gp.fitted());
 
-        std::vector<std::vector<double>> queries;
-        for (int q = 0; q < 21; ++q)
-            queries.push_back({rng.uniform(), rng.uniform()});
-
-        std::vector<double> bm, bv, jm, jv;
-        gp.predictBatch(queries, bm, bv);
-        Matrix cov;
-        gp.posteriorJoint(queries, jm, jv, cov);
-        ASSERT_EQ(cov.rows(), queries.size());
-        ASSERT_EQ(cov.cols(), queries.size());
-        for (std::size_t q = 0; q < queries.size(); ++q) {
-            EXPECT_DOUBLE_EQ(jm[q], bm[q]) << "query " << q;
-            EXPECT_DOUBLE_EQ(jv[q], bv[q]) << "query " << q;
-            EXPECT_NEAR(cov(q, q), bv[q], 1e-8 * (1.0 + bv[q]))
-                << "diag " << q;
+            const auto queries = kernelEdgeQueries(xs, rng);
+            std::vector<double> bm, bv, jm, jv;
+            gp.predictBatch(queries, bm, bv);
+            Matrix cov;
+            gp.posteriorJoint(queries, jm, jv, cov);
+            ASSERT_EQ(cov.rows(), queries.size());
+            ASSERT_EQ(cov.cols(), queries.size());
+            const std::string what = "kernel " +
+                                     std::to_string(int(kernel)) +
+                                     " l=" + std::to_string(lengthScale);
+            for (std::size_t q = 0; q < queries.size(); ++q) {
+                EXPECT_TRUE(sameBits(jm[q], bm[q]))
+                    << what << " query " << q;
+                EXPECT_TRUE(sameBits(jv[q], bv[q]))
+                    << what << " query " << q;
+                EXPECT_NEAR(cov(q, q), bv[q], 1e-8 * (1.0 + bv[q]))
+                    << what << " diag " << q;
+            }
+            for (std::size_t a = 0; a < queries.size(); ++a)
+                for (std::size_t b = 0; b < queries.size(); ++b)
+                    EXPECT_NEAR(cov(a, b), cov(b, a), 1e-10)
+                        << what << " " << a << "," << b;
         }
-        for (std::size_t a = 0; a < queries.size(); ++a)
-            for (std::size_t b = 0; b < queries.size(); ++b)
-                EXPECT_NEAR(cov(a, b), cov(b, a), 1e-10)
-                    << a << "," << b;
     }
 }
 

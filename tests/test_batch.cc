@@ -20,6 +20,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "agents/genetic_algorithm.h"
@@ -360,9 +361,13 @@ TEST(BatchDriver, BoCohortSearchBitIdenticalAcrossWorkerCounts)
     // Worker count must not leak into the search: the trajectory at 2
     // and 8 workers must reproduce the 1-worker run bit for bit. The
     // budget leaves a truncated final cohort (warmup 6, then cohorts
-    // of 8 with 47-6=41 model-driven samples = 5 cohorts + 1).
-    for (const int mode : {3, 4}) {
+    // of 8 with 47-6=41 model-driven samples = 5 cohorts + 1). Both
+    // GP kernels run, each through its own vector kernel map.
+    for (const auto &[mode, kernel] :
+         {std::pair{3, 0}, std::pair{3, 1}, std::pair{4, 0},
+          std::pair{4, 1}}) {
         const HyperParams hp{{"acquisition", mode},
+                             {"kernel", kernel},
                              {"num_candidates", 32},
                              {"max_history", 32},
                              {"cohort", 8},
@@ -384,6 +389,7 @@ TEST(BatchDriver, BoCohortSearchBitIdenticalAcrossWorkerCounts)
             auto agent = makeAgent("BO", env.actionSpace(), hp, 71);
             const RunResult got = runSearch(env, *agent, cfg);
             const std::string what = "mode=" + std::to_string(mode) +
+                                     " kernel=" + std::to_string(kernel) +
                                      " workers=" +
                                      std::to_string(workers);
             EXPECT_EQ(got.samplesUsed, expected.samplesUsed) << what;
