@@ -126,11 +126,9 @@ writePoolBothWays(const std::string &dir, const ParamSpace &space,
     fs::remove_all(dir);
     fs::create_directories(dir);
     {
-        StreamingDatasetWriter csv((fs::path(dir) / "pool.csv").string(),
-                                   space, kMetricNames, 0, logs.size());
-        for (std::size_t i = 0; i < logs.size(); ++i)
-            csv.append(i, logs[i]);
-        csv.close();
+        std::ofstream csv(fs::path(dir) / "pool.csv", std::ios::binary);
+        for (const auto &log : logs)
+            log.writeCsv(csv, space, kMetricNames);
     }
     const std::string stem = (fs::path(dir) / "pool").string();
     {

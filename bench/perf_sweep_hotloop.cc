@@ -225,8 +225,7 @@ main()
         fs::temp_directory_path() / "archgym_perf_partial";
     fs::remove_all(partialDir);
     fs::create_directories(partialDir);
-    const std::string pj = (partialDir / "bench.partial.jsonl").string();
-    const std::string pc = (partialDir / "bench.partial.csvf").string();
+    const std::string partial = (partialDir / "bench.partial").string();
     const std::string benchLine =
         "{\"config\":0,\"seed\":7,\"bestReward\":1.5,"
         "\"bestSampleIndex\":3,\"samplesUsed\":100,"
@@ -235,23 +234,22 @@ main()
         "# env=Bench agent=RW hyper=\n0.25,0.5,0.75,1.5\n";
     double partialAppendsPerSec = 0.0;
     {
-        ShardPartialWriter writer(pj, pc, 0, 0);
+        ShardPartialWriter writer(partial, 0);
         partialAppendsPerSec = callsPerSecond(
             [&] { writer.append(0, benchLine, benchBlock); });
     }
     // Repair re-ingest throughput over a fixed-size dead-worker state.
     const std::size_t kPartialRuns = 512;
-    fs::remove(pj);
-    fs::remove(pc);
     {
-        ShardPartialWriter writer(pj, pc, 0, 0);
+        ShardPartialWriter writer(partial, 0);
         for (std::size_t i = 0; i < kPartialRuns; ++i)
-            writer.append(i, benchLine, benchBlock);
+            writer.append(0, benchLine, benchBlock);
     }
     const double reingestPerSec = callsPerSecond([&] {
-        guard += static_cast<double>(
-            readPartialResultLines(pj).records.size() +
-            readPartialCsvFrames(pc).records.size());
+        std::size_t records = 0;
+        readPartial(partial, [&](std::size_t, std::string_view,
+                                 std::string_view) { ++records; });
+        guard += static_cast<double>(records);
     });
     const double repairReingestRunsPerSec =
         reingestPerSec * static_cast<double>(kPartialRuns);

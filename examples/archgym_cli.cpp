@@ -24,8 +24,8 @@
  *
  * Sweep mode (--sweep N): run a sharded, resumable hyperparameter
  * lottery of N configurations drawn from the agent's default grid.
- * Shard manifests, per-config results (JSON lines), and streamed
- * per-shard trajectory CSVs land under --sweep-dir; re-running the
+ * Shard manifests, per-config results (JSON lines), and per-shard
+ * trajectory CSVs land under --sweep-dir; re-running the
  * same command after an interruption resumes by skipping completed
  * shards (bit-identically — see core/trajectory.h for the contract).
  *

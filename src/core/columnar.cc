@@ -210,28 +210,7 @@ ColumnarDatasetReader::open(const std::string &stem)
     const std::size_t totalRows =
         static_cast<std::size_t>(jsonio::uintField(text, "totalRows", ctx));
 
-    // Metric names: the array of strings between metricNames's brackets.
-    std::size_t pos = jsonio::valuePos(text, "metricNames", ctx);
-    if (pos >= text.size() || text[pos] != '[')
-        throw std::runtime_error(ctx + ": bad array for 'metricNames'");
-    ++pos;
-    while (pos < text.size() && text[pos] != ']') {
-        if (text[pos] == ',') {
-            ++pos;
-            continue;
-        }
-        if (text[pos] != '"')
-            throw std::runtime_error(ctx + ": bad metricNames entry");
-        ++pos;
-        std::string name;
-        while (pos < text.size() && text[pos] != '"') {
-            if (text[pos] == '\\' && pos + 1 < text.size())
-                ++pos;
-            name.push_back(text[pos++]);
-        }
-        ++pos; // closing quote
-        reader.metricNames_.push_back(std::move(name));
-    }
+    reader.metricNames_ = jsonio::stringArrayField(text, "metricNames", ctx);
 
     // Group entries: one {...} object per group after "groups":[.
     std::size_t cursor = jsonio::valuePos(text, "groups", ctx);

@@ -421,17 +421,15 @@ struct OpenShard
     std::unique_ptr<ShardLease> lease;
     fs::path jsonlPath;
     fs::path csvPath;
-    std::string csvTmp;  ///< the streaming CSV, renamed at finalize
-    std::unique_ptr<StreamingDatasetWriter> writer;  ///< exportDataset
+    fs::path partialPath;
     std::unique_ptr<ShardPartialWriter> partial;
-    std::vector<std::string> lines;  ///< final lines, by config - lo
 
     /** Durable attempt history of this shard's poison candidates. */
     std::map<std::size_t, LedgerEntry> ledger;
     fs::path quarantinePath;
     std::size_t ledgerValidBytes = 0;
     std::mutex ledgerMutex;
-    std::unique_ptr<ShardPartialWriter> ledgerWriter;  ///< lazily opened
+    fsio::File ledgerFile;  ///< lazily opened
 
     std::vector<std::size_t> missing;  ///< configs to run, ascending
     // Guarded by the pipeline mutex.
@@ -448,7 +446,7 @@ struct OpenShard
  * pre-assigned, so a slot the pool never schedules holds no work.
  *
  * A failure on any slot stops every slot and leaves each open shard's
- * lease and partial files in place, exactly as a crash would.
+ * lease and partial file in place, exactly as a crash would.
  */
 class ShardPipeline
 {
@@ -466,9 +464,9 @@ class ShardPipeline
           state_(shardCount_, ShardState::Unclaimed),
           unclaimed_(shardCount_)
     {
-        // The engine persists scalars + streamed trajectories only;
-        // retaining per-run curves/logs in memory would defeat the
-        // bounded-memory contract.
+        // A run's trajectory lives only until its partial frame is
+        // written; retaining per-run curves/logs in memory would defeat
+        // the bounded-memory contract.
         runConfig_ = run_config;
         runConfig_.recordRewardHistory = false;
         runConfig_.logTrajectory = options.exportDataset;
@@ -515,8 +513,10 @@ class ShardPipeline
     bool finalizeShard(OpenShard &s);
 
     void ingestFinal(std::size_t shard);
-    void checkRecord(const OpenShard &s, const PartialRunRecord &rec,
-                     const std::string &ctx, const char *files) const;
+    void checkRecord(const OpenShard &s, std::size_t config,
+                     const std::string &line, const std::string &ctx,
+                     const char *files) const;
+    std::string csvBlock(const TrajectoryLog &log) const;
     void settle(std::unique_lock<std::mutex> &lock, OpenShard &s);
     void close(const OpenShard &s, bool finalized);
     bool finalsExist(std::size_t shard) const;
@@ -649,8 +649,7 @@ ShardPipeline::ingestFinal(std::size_t shard)
 
     // Sweep up leftovers of a worker that died after its final rename.
     std::error_code ec;
-    fs::remove(shardFile(shard, ".partial.jsonl"), ec);
-    fs::remove(shardFile(shard, ".partial.csvf"), ec);
+    fs::remove(shardFile(shard, ".partial"), ec);
 
     std::lock_guard<std::mutex> lock(mutex_);
     state_[shard] = ShardState::Done;
@@ -718,9 +717,9 @@ ShardPipeline::claimNext()
 }
 
 /**
- * Open/repair step: clean the previous owner's staging files, re-ingest
- * every run it durably appended, and open the partial and dataset
- * writers for the configs still missing.
+ * Open/repair step: clean the previous owner's staging files, find
+ * every run it durably appended, and open the partial writer for the
+ * configs still missing.
  */
 std::unique_ptr<OpenShard>
 ShardPipeline::openShard(std::size_t shard,
@@ -733,8 +732,7 @@ ShardPipeline::openShard(std::size_t shard,
     s->lease = std::move(lease);
     s->jsonlPath = shardFile(shard, ".jsonl");
     s->csvPath = shardFile(shard, ".csv");
-    const fs::path partialJsonl = shardFile(shard, ".partial.jsonl");
-    const fs::path partialCsvf = shardFile(shard, ".partial.csvf");
+    s->partialPath = shardFile(shard, ".partial");
 
     // Discard the previous owners' half-written rename staging files.
     // The listing taken at start-up has every one a released or absent
@@ -755,55 +753,23 @@ ShardPipeline::openShard(std::size_t shard,
     if (fs::exists(s->jsonlPath) && !finalsExist(shard))
         fs::remove(s->jsonlPath);
 
-    // Repair pass: re-ingest every run the previous owner durably
-    // appended. A run is durable when its checksummed result line is
-    // intact AND (with exportDataset) its trajectory frame is too; the
-    // writers order frame-before-line, so the line is normally the
-    // deciding record.
-    const PartialReadResult pr =
-        readPartialResultLines(partialJsonl.string());
-    PartialCsvReadResult cr;
-    if (options_.exportDataset)
-        cr = readPartialCsvFrames(partialCsvf.string());
-
-    std::map<std::size_t, const PartialCsvRecord *> frames;
-    for (const auto &rec : cr.records)
-        frames.emplace(rec.config, &rec);  // keep-first dedupe
-
-    const std::string partialCtx = "shard partial " + partialJsonl.string();
-    std::map<std::size_t, std::string> durable;
-    for (const auto &rec : pr.records) {
-        checkRecord(*s, rec, partialCtx, "partial files");
-        if (durable.count(rec.config))
-            continue;  // duplicate from a double-execution race
-        if (options_.exportDataset && !frames.count(rec.config))
-            continue;  // line durable but frame lost: re-run it
-        durable.emplace(rec.config, rec.resultLine);
-    }
-
-    if (options_.exportDataset) {
-        s->csvTmp = fsio::uniqueTmpPath(s->csvPath.string());
-        s->writer = std::make_unique<StreamingDatasetWriter>(
-            s->csvTmp, metaEnv_.actionSpace(), metaEnv_.metricNames(),
-            s->lo, s->hi - s->lo);
-    }
-
-    // Pre-feed repaired runs into the result arrays, the final line
-    // buffer and the streaming CSV; then truncate the torn partial tails
-    // and keep appending where the dead worker stopped.
-    s->lines.resize(s->hi - s->lo);
-    for (const auto &[config, line] : durable) {
-        ingestResultLine(result_, config, line, partialCtx);
-        s->lines[config - s->lo] = line;
-        if (s->writer)
-            s->writer->appendSerialized(config, frames.at(config)->block);
-    }
-    result_.runsRepaired += durable.size();
-
+    // Repair pass: a run is durable when the previous owners' partial
+    // holds an intact record of it; finalize writes it from there.
+    // Truncate the torn tail and keep appending where they stopped.
+    const std::string ctx = "shard partial " + s->partialPath.string();
+    std::vector<std::uint8_t> durable(s->hi - s->lo, 0);
+    std::size_t repaired = 0;
+    const std::size_t validBytes = readPartial(
+        s->partialPath.string(),
+        [&](std::size_t config, std::string_view line, std::string_view) {
+            checkRecord(*s, config, std::string(line), ctx, "partial file");
+            // A duplicate from a double-execution race counts once.
+            if (!std::exchange(durable[config - s->lo], 1))
+                ++repaired;
+        });
+    result_.runsRepaired += repaired;
     s->partial = std::make_unique<ShardPartialWriter>(
-        partialJsonl.string(),
-        options_.exportDataset ? partialCsvf.string() : std::string(),
-        pr.validBytes, cr.validBytes);
+        s->partialPath.string(), validBytes);
 
     // Durable attempt history of this shard's poison candidates: what
     // previous owners already tried, by config. The ledger outlives
@@ -811,29 +777,29 @@ ShardPipeline::openShard(std::size_t shard,
     // record), so attempt budgets are fleet-wide.
     s->quarantinePath = shardFile(shard, ".quarantine.jsonl");
     if (options_.attempts.isolated()) {
-        const PartialReadResult qr =
-            readPartialResultLines(s->quarantinePath.string());
+        const CrcLineReadResult qr =
+            readCrcLines(s->quarantinePath.string());
         s->ledgerValidBytes = qr.validBytes;
-        const std::string ctx =
+        const std::string ledgerCtx =
             "shard quarantine " + s->quarantinePath.string();
         for (const auto &rec : qr.records) {
-            checkRecord(*s, rec, ctx, "ledger");
+            checkRecord(*s, rec.config, rec.line, ledgerCtx, "ledger");
             const auto attempt = static_cast<std::size_t>(
-                jsonio::uintField(rec.resultLine, "attempt", ctx));
+                jsonio::uintField(rec.line, "attempt", ledgerCtx));
             LedgerEntry &entry = s->ledger[rec.config];
             if (attempt > entry.attempts) {
                 entry.attempts = attempt;
                 entry.failureClass =
-                    jsonio::stringField(rec.resultLine, "class", ctx);
+                    jsonio::stringField(rec.line, "class", ledgerCtx);
                 entry.error =
-                    jsonio::stringField(rec.resultLine, "error", ctx);
+                    jsonio::stringField(rec.line, "error", ledgerCtx);
             }
         }
     }
 
-    s->missing.reserve(s->hi - s->lo - durable.size());
+    s->missing.reserve(s->hi - s->lo - repaired);
     for (std::size_t i = s->lo; i < s->hi; ++i)
-        if (!durable.count(i))
+        if (!durable[i - s->lo])
             s->missing.push_back(i);
     return s;
 }
@@ -844,22 +810,32 @@ ShardPipeline::openShard(std::size_t shard,
  * files to delete.
  */
 void
-ShardPipeline::checkRecord(const OpenShard &s, const PartialRunRecord &rec,
-                           const std::string &ctx, const char *files) const
+ShardPipeline::checkRecord(const OpenShard &s, std::size_t config,
+                           const std::string &line, const std::string &ctx,
+                           const char *files) const
 {
     const std::string remedy =
         std::string(" — delete the ") + files + " to re-run it";
-    if (rec.config < s.lo || rec.config >= s.hi)
+    if (config < s.lo || config >= s.hi)
         throw std::runtime_error(
-            ctx + ": config index " + std::to_string(rec.config) +
+            ctx + ": config index " + std::to_string(config) +
             " is outside this shard [" + std::to_string(s.lo) + ", " +
             std::to_string(s.hi) + ")" + remedy);
-    const std::uint64_t seed = jsonio::uintField(rec.resultLine, "seed", ctx);
-    if (seed != result_.seeds[rec.config])
+    const std::uint64_t seed = jsonio::uintField(line, "seed", ctx);
+    if (seed != result_.seeds[config])
         throw std::runtime_error(
             ctx + ": seed is " + std::to_string(seed) + ", expected " +
-            std::to_string(result_.seeds[rec.config]) + " at config " +
-            std::to_string(rec.config) + remedy);
+            std::to_string(result_.seeds[config]) + " at config " +
+            std::to_string(config) + remedy);
+}
+
+/** One trajectory's block of the shard CSV (see core/trajectory.h). */
+std::string
+ShardPipeline::csvBlock(const TrajectoryLog &log) const
+{
+    std::ostringstream block;
+    log.writeCsv(block, metaEnv_.actionSpace(), metaEnv_.metricNames());
+    return block.str();
 }
 
 /**
@@ -942,28 +918,21 @@ ShardPipeline::runConfig(OpenShard &s, std::size_t slot, std::size_t i)
         // config livelocks the fleet.
         {
             std::lock_guard<std::mutex> lock(s.ledgerMutex);
-            if (!s.ledgerWriter)
-                s.ledgerWriter = std::make_unique<ShardPartialWriter>(
-                    s.quarantinePath.string(), std::string(),
-                    s.ledgerValidBytes, 0);
-            s.ledgerWriter->append(
-                i,
-                renderAttemptLine(i, seed, attempt, failClass, failError,
-                                  leaseOpts_.workerId),
-                std::string());
+            if (!s.ledgerFile)
+                s.ledgerFile = fsio::File::appendAfter(
+                    s.quarantinePath.string(), s.ledgerValidBytes);
+            s.ledgerFile.write(crcLine(renderAttemptLine(
+                i, seed, attempt, failClass, failError,
+                leaseOpts_.workerId)));
         }
         persisted();
     }
 
-    std::string &line = s.lines[i - s.lo];
-    std::string block;
+    std::string line, block;
     if (succeeded) {
-        result_.bestRewards[i] = run.bestReward;
-        result_.bestActions[i] = run.bestAction;
-        result_.samplesUsed[i] = run.samplesUsed;
         line = renderResultLine(i, seed, configs_[i], run);
-        if (s.writer)
-            block = s.writer->serializeBlock(run.trajectory);
+        if (options_.exportDataset)
+            block = csvBlock(run.trajectory);
     } else {
         if (!pol.quarantine)
             throw std::runtime_error(
@@ -976,24 +945,23 @@ ShardPipeline::runConfig(OpenShard &s, std::size_t slot, std::size_t i)
         // byte-identical on every worker.
         line = renderGapLine(i, seed, configs_[i], attempt, failClass,
                              failError);
-        result_.quarantined[i] = 1;
-        if (s.writer)
-            block = s.writer->serializeBlock(TrajectoryLog(
-                        metaEnv_.name(), agentName_, configs_[i].str())) +
+        if (options_.exportDataset)
+            block = csvBlock(TrajectoryLog(metaEnv_.name(), agentName_,
+                                           configs_[i].str())) +
                     "# quarantined=1\n";
     }
-    // Run-granular durability: persist before reporting.
+    // Run-granular durability: persist before reporting. The partial
+    // record is the run's only copy until finalize.
     s.partial->append(i, line, block);
     persisted();
-    if (s.writer)
-        s.writer->appendSerialized(i, block);
 }
 
 /**
- * Finalize step: rename the shard's finals into place and release its
- * lease. Returns false when this worker was fenced (a peer stole the
- * lease and finishes, or finished, the shard); the shard's finals are
- * then the peer's to write, and a later scan ingests them.
+ * Finalize step: build the shard's finals from its partial, rename them
+ * into place and release its lease. Returns false when this worker was
+ * fenced (a peer stole the lease and finishes, or finished, the shard);
+ * the shard's finals are then the peer's to write, and a later scan
+ * ingests them.
  */
 bool
 ShardPipeline::finalizeShard(OpenShard &s)
@@ -1011,20 +979,69 @@ ShardPipeline::finalizeShard(OpenShard &s)
         return false;
     }
 
-    // Atomic completion: stream-close + rename the CSV first, then the
-    // .jsonl — its presence marks the shard done. Both renames land
+    // The finals come from the partial, through the reader the repair
+    // pass uses: each config's first intact record gives its result
+    // line and CSV block, and the same lines fill the result arrays.
+    // Atomic completion: write, fsync and rename the CSV first, then
+    // the .jsonl — its presence marks the shard done. Both renames land
     // from unique tmp names, so even a fenced stale owner racing the
-    // thief only ever renames byte-identical content.
+    // thief only ever renames records that passed their checksum.
+    const std::string csvTmp =
+        options_.exportDataset ? fsio::uniqueTmpPath(s.csvPath.string())
+                               : std::string();
     try {
-        std::string all;
-        for (const auto &line : s.lines)
-            all += line;
-        if (s.writer) {
-            s.writer->close();
-            fs::rename(s.csvTmp, s.csvPath);
+        const std::string ctx = "shard partial " + s.partialPath.string();
+        fsio::File csv;
+        if (!csvTmp.empty())
+            csv = fsio::File::create(csvTmp);
+        std::string jsonl;
+        std::size_t next = s.lo;  ///< lowest config not yet written
+        const auto take = [&](const std::string &line,
+                              std::string_view block) {
+            ingestResultLine(result_, next++, line, ctx);
+            jsonl += line;
+            if (csv)
+                csv.write(block);
+        };
+        // Records come in completion order; one read ahead of its turn
+        // waits here until every lower config's record is written.
+        std::map<std::size_t, std::pair<std::string, std::string>> ahead;
+        readPartial(s.partialPath.string(), [&](std::size_t config,
+                                                std::string_view view,
+                                                std::string_view block) {
+            std::string line(view);
+            checkRecord(s, config, line, ctx, "partial file");
+            if (config < next || ahead.count(config))
+                return;  // not the config's first record
+            if (config > next) {
+                ahead.emplace(config,
+                              std::pair(std::move(line), std::string(block)));
+                return;
+            }
+            take(line, block);
+            for (auto it = ahead.begin();
+                 it != ahead.end() && it->first == next;
+                 it = ahead.erase(it))
+                take(it->second.first, it->second.second);
+        });
+        // A record can go missing only when a fenced owner was killed
+        // mid-write while its thief appended to the same file. Publish
+        // nothing: lease and partial stay as a crash leaves them, and
+        // the next owner's repair truncates at the bad record.
+        if (next != s.hi)
+            throw std::runtime_error(
+                ctx + ": no intact record of config " +
+                std::to_string(next) +
+                " — the shard's next owner re-runs it");
+        if (csv) {
+            csv.sync();
+            csv.close();
+            fs::rename(csvTmp, s.csvPath);
         }
-        fsio::atomicWriteFile(s.jsonlPath.string(), all);
+        fsio::atomicWriteFile(s.jsonlPath.string(), jsonl);
     } catch (const std::exception &) {
+        if (!csvTmp.empty())
+            ::unlink(csvTmp.c_str());  // ENOENT fine: renamed or never made
         // A peer that stole our stale lease may have removed our staging
         // files; if it finished the shard (or our lease is gone), yield
         // to it.
@@ -1153,7 +1170,7 @@ runSweepSharded(const EnvFactory &env_factory,
     // manifest to the environment family (resuming a directory that
     // belongs to another environment must fail, not re-ingest foreign
     // results), and it supplies the action space / metric names for
-    // the streaming trajectory writers.
+    // the trajectory CSV blocks.
     const std::unique_ptr<Environment> metaEnv = env_factory();
 
     ManifestFields manifest;

@@ -176,7 +176,7 @@ struct ShardedSweepOptions
     /**
      * Directory holding manifest.json + shard_NNNN.{jsonl,csv} plus
      * the cooperative-service files (shard_NNNN.lease,
-     * shard_NNNN.partial.{jsonl,csvf}, sweep.lock). See
+     * shard_NNNN.partial, sweep.lock). See
      * core/trajectory.h for the layout and docs/sweep_service.md for
      * the lease/heartbeat protocol and the repair pass.
      */
@@ -216,10 +216,14 @@ struct ShardedSweepOptions
     std::size_t numThreads = 0;
 
     /**
-     * Stream each run's trajectory into the shard's multi-block CSV as
-     * runs complete (StreamingDatasetWriter). Peak sweep memory then
-     * holds at most the few trajectories completed out of order, never
-     * the whole sweep's.
+     * Export each run's trajectory into the shard's multi-block CSV. A
+     * trajectory stays in memory only while its run executes: it then
+     * goes into the run's partial frame, and finalize copies the frames
+     * into the CSV one at a time. A frame read ahead of a lower
+     * config's waits in memory until that one is written, so peak sweep
+     * memory is the in-flight runs' trajectories plus, per finalizing
+     * shard, the blocks that completed before a lower config did —
+     * never the whole sweep's.
      */
     bool exportDataset = false;
 
@@ -252,7 +256,7 @@ struct ShardedSweepOptions
  * Outcome of a sharded sweep: per-configuration scalars only — full
  * RunResults (reward curves, trajectories) are intentionally NOT
  * retained, so peak memory no longer scales with retained trajectories;
- * trajectories stream to disk when exportDataset is set.
+ * trajectories go to disk when exportDataset is set.
  *
  * Entries of configurations whose shard has not run yet (interrupted
  * sweep) hold bestReward == -inf and samplesUsed == 0.
@@ -297,7 +301,7 @@ struct ShardedSweepResult
  * a shard's last run finalizes and releases it. No slot waits for a
  * shard's slowest run or idles through another shard's open or
  * finalize. A throwing run stops every slot and leaves each open
- * shard's lease and partial files in place, as a crash would.
+ * shard's lease and partial file in place, as a crash would.
  *
  * Invoked again on the same directory, the engine validates the
  * manifest against the requested sweep (agent, configs, shard size,
@@ -315,7 +319,7 @@ struct ShardedSweepResult
  * that dies mid-shard leaves a lease whose heartbeat goes stale past
  * leaseTtlMs, after which a peer steals the shard, re-ingests every
  * run the dead worker had durably appended to the shard's checksummed
- * partial files (resume granularity: single run, not whole shard), and
+ * partial file (resume granularity: single run, not whole shard), and
  * runs only the remainder. Results are bit-identical at any worker
  * count and across any kill/steal/repair schedule. Protocol details
  * and TTL tuning: docs/sweep_service.md.

@@ -39,7 +39,7 @@ struct FaultHooks
 
     /**
      * After the run for `config` was appended to the shard's partial
-     * files — the "between any two runs" kill point: throwing
+     * file — the "between any two runs" kill point: throwing
      * WorkerKilled here simulates a SIGKILL after the run became
      * durable but before the shard finished.
      */
@@ -71,7 +71,7 @@ FaultHooks &faultHooks();
  * Thrown by an afterRunPersisted hook to simulate killing the worker
  * between two runs. The sweep engine never catches it: it unwinds out
  * of runSweepSharded exactly like a crash — the lease file stays
- * behind with a stale heartbeat, the partial files keep every
+ * behind with a stale heartbeat, the partial file keeps every
  * persisted run — so peers must detect the death and repair.
  */
 class WorkerKilled : public std::runtime_error

@@ -2,7 +2,7 @@
  * @file
  * The library's one durable-write path. Every file the sweep engine
  * and the dataset writers produce — manifest, shard finals, partials,
- * quarantine ledger, leases, streamed CSV, columnar pairs — reaches
+ * quarantine ledger, leases, columnar pairs — reaches
  * the disk through a File handle, directly or via atomicWriteFile().
  * Nothing else in the library calls write(2) or opens an output
  * stream.

@@ -25,7 +25,14 @@ namespace jsonio {
 /** Append the shortest round-trip rendering of v (from_chars-exact). */
 void appendDouble(std::string &out, double v);
 
-/** Minimal JSON string escaping for names/hyperparam strings. */
+/**
+ * JSON string escaping for names, hyperparam strings and error texts:
+ * `"` and `\\` gain a backslash; newline, carriage return and tab become
+ * `\\n`, `\\r` and `\\t`; every other byte below 0x20 becomes `\\u00XX`.
+ * A rendered line therefore never holds a raw newline, which the
+ * line-framed formats (shard results, partial files, the quarantine
+ * ledger) rely on. Other bytes, UTF-8 included, pass through.
+ */
 std::string escape(const std::string &s);
 
 /**
@@ -42,6 +49,7 @@ double doubleField(const std::string &text, const std::string &key,
 std::uint64_t uintField(const std::string &text, const std::string &key,
                         const std::string &context, std::size_t from = 0);
 
+/** A string value, with the escapes escape() writes decoded. */
 std::string stringField(const std::string &text, const std::string &key,
                         const std::string &context, std::size_t from = 0);
 
@@ -51,6 +59,12 @@ std::vector<double> doubleArrayField(const std::string &text,
                                      std::size_t from = 0);
 
 std::vector<std::uint64_t> uintArrayField(const std::string &text,
+                                          const std::string &key,
+                                          const std::string &context,
+                                          std::size_t from = 0);
+
+/** `["s","s",...]`, each entry decoded as stringField does. */
+std::vector<std::string> stringArrayField(const std::string &text,
                                           const std::string &key,
                                           const std::string &context,
                                           std::size_t from = 0);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -367,174 +366,151 @@ Dataset::sampleDiverse(std::size_t n, const std::vector<std::string> &agents,
 }
 
 // ---------------------------------------------------------------------
-// StreamingDatasetWriter
-// ---------------------------------------------------------------------
-
-StreamingDatasetWriter::StreamingDatasetWriter(
-    const std::string &path, const ParamSpace &space,
-    std::vector<std::string> metric_names, std::size_t first_index,
-    std::size_t count)
-    : space_(space), metricNames_(std::move(metric_names)),
-      out_(fsio::File::create(path)), next_(first_index),
-      end_(first_index + count)
-{}
-
-std::string
-StreamingDatasetWriter::serializeBlock(const TrajectoryLog &log) const
-{
-    std::ostringstream block;
-    log.writeCsv(block, space_, metricNames_);
-    return block.str();
-}
-
-void
-StreamingDatasetWriter::append(std::size_t index, const TrajectoryLog &log)
-{
-    // Serialize outside the lock; only the ordered file append is
-    // critical. Buffering the serialized bytes (not the log) keeps the
-    // out-of-order window cheap: at most ~worker-count blocks.
-    appendSerialized(index, serializeBlock(log));
-}
-
-void
-StreamingDatasetWriter::appendSerialized(std::size_t index,
-                                         std::string bytes)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (index < next_ || index >= end_ || pending_.count(index))
-        throw std::runtime_error(
-            "StreamingDatasetWriter: duplicate or out-of-range index " +
-            std::to_string(index));
-    if (index != next_) {
-        pending_.emplace(index, std::move(bytes));
-        return;
-    }
-    out_.write(bytes);
-    ++next_;
-    // Drain any successors that were only waiting for this index.
-    while (!pending_.empty() && pending_.begin()->first == next_) {
-        out_.write(pending_.begin()->second);
-        pending_.erase(pending_.begin());
-        ++next_;
-    }
-}
-
-void
-StreamingDatasetWriter::close()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!out_)
-        return;
-    if (next_ != end_)
-        throw std::runtime_error(
-            "StreamingDatasetWriter: closed with runs missing (next " +
-            std::to_string(next_) + ", expected " + std::to_string(end_) +
-            ")");
-    // The file is about to be renamed into place as a completed-shard
-    // artifact; fsync first so the rename never publishes empty data
-    // blocks after a power loss (see core/fsio.h).
-    out_.sync();
-    out_.close();
-}
-
-std::size_t
-StreamingDatasetWriter::written() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return next_;
-}
-
-// ---------------------------------------------------------------------
-// Run-granular shard partial files (writer + validating readers)
+// Run-granular shard partial file (writer + validating reader)
 // ---------------------------------------------------------------------
 
 namespace {
 
-constexpr const char *kCrcKey = ",\"crc\":";
-constexpr const char *kFrameMagic = "#@run ";
+constexpr std::string_view kCrcKey = ",\"crc\":";
+constexpr std::string_view kFrameMagic = "#@run ";
+/** Longest frame header: the magic, then three numbers of at most 20
+ *  digits, each followed by ' ' or '\n'. */
+constexpr std::size_t kMaxFrameHeader = kFrameMagic.size() + 3 * 21;
+
+/** Parse the leading `{"config":<n>` of a result line. */
+bool
+parseConfigIndex(std::string_view line, std::size_t &out)
+{
+    constexpr std::string_view prefix = "{\"config\":";
+    if (line.substr(0, prefix.size()) != prefix)
+        return false;
+    const char *begin = line.data() + prefix.size();
+    const auto res = std::from_chars(begin, line.data() + line.size(), out);
+    return res.ec == std::errc{} && res.ptr != begin;
+}
 
 } // namespace
 
-ShardPartialWriter::ShardPartialWriter(const std::string &jsonl_path,
-                                       const std::string &csvf_path,
-                                       std::size_t jsonl_keep_bytes,
-                                       std::size_t csvf_keep_bytes)
-    : jsonl_(fsio::File::appendAfter(jsonl_path, jsonl_keep_bytes))
-{
-    if (!csvf_path.empty())
-        csvf_ = fsio::File::appendAfter(csvf_path, csvf_keep_bytes);
-}
+ShardPartialWriter::ShardPartialWriter(const std::string &path,
+                                       std::size_t keep_bytes)
+    : file_(fsio::File::appendAfter(path, keep_bytes))
+{}
 
 void
 ShardPartialWriter::append(std::size_t config,
                            const std::string &result_line,
                            const std::string &csv_block)
 {
-    // Derive the checksummed partial rendering from the final-format
-    // line: strip the closing "}\n", append the crc of the payload.
-    // The repair pass inverts this exactly, so a re-ingested line is
-    // byte-identical to what an uninterrupted run would have written.
+    // The reader ends the result line at the payload's first newline;
+    // jsonio::escape keeps raw newlines out of the line's strings.
     if (result_line.size() < 2 ||
-        result_line.compare(result_line.size() - 2, 2, "}\n") != 0)
+        result_line.find('\n') != result_line.size() - 1 ||
+        result_line[result_line.size() - 2] != '}')
         throw std::logic_error("partial: result line not in final "
                                "format");
-    const std::string_view payload(result_line.data(),
-                                   result_line.size() - 2);
-    std::string jsonlRecord(payload);
-    jsonlRecord += kCrcKey;
-    jsonlRecord += std::to_string(fsio::fnv1a64(payload));
-    jsonlRecord += "}\n";
+    const std::string payload = result_line + csv_block;
+    std::string frame(kFrameMagic);
+    frame += std::to_string(config);
+    frame += ' ';
+    frame += std::to_string(payload.size());
+    frame += ' ';
+    frame += std::to_string(fsio::fnv1a64(payload));
+    frame += '\n';
+    frame += payload;
 
     std::lock_guard<std::mutex> lock(mutex_);
-    // CSV frame first: a validated result line then implies its block
-    // is on disk, so "line present" alone decides run durability.
-    if (csvf_) {
-        std::string frame = kFrameMagic;
-        frame += std::to_string(config);
-        frame += ' ';
-        frame += std::to_string(csv_block.size());
-        frame += ' ';
-        frame += std::to_string(fsio::fnv1a64(csv_block));
-        frame += '\n';
-        frame += csv_block;
-        csvf_.write(frame);
-    }
-    jsonl_.write(jsonlRecord);
+    file_.write(frame);
 }
 
 void
 ShardPartialWriter::closeAndRemove()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (fsio::File *file : {&jsonl_, &csvf_}) {
-        if (!*file)
-            continue;
-        file->close();
-        ::unlink(file->path().c_str());  // ENOENT fine: peer cleaned up
+    file_.close();
+    ::unlink(file_.path().c_str());  // ENOENT fine: peer cleaned up
+}
+
+std::size_t
+readPartial(const std::string &path, const PartialVisitor &visit)
+{
+    std::ifstream in;
+    in.rdbuf()->pubsetbuf(nullptr, 0);  // each read lands in `frame`
+    in.open(path, std::ios::binary | std::ios::ate);
+    if (!in)
+        return 0;  // missing: nothing durable yet
+    const auto size = static_cast<std::size_t>(in.tellg());
+    std::string frame;  // the frame in hand: header, then payload
+    const auto readAt = [&](std::size_t offset, std::size_t bytes) {
+        frame.resize(bytes);
+        in.seekg(static_cast<std::streamoff>(offset));
+        return static_cast<bool>(
+            in.read(frame.data(), static_cast<std::streamsize>(bytes)));
+    };
+
+    std::size_t pos = 0;
+    while (pos < size) {
+        // Header: "#@run <config> <bytes> <crc>\n".
+        if (!readAt(pos, std::min(kMaxFrameHeader, size - pos)))
+            break;
+        const std::size_t eol = frame.find('\n');
+        if (eol == std::string::npos ||
+            frame.compare(0, kFrameMagic.size(), kFrameMagic) != 0)
+            break;
+        std::size_t config = 0, bytes = 0;
+        std::uint64_t crc = 0;
+        const char *end = frame.data() + eol;
+        auto res =
+            std::from_chars(frame.data() + kFrameMagic.size(), end, config);
+        if (res.ec != std::errc{} || res.ptr == end || *res.ptr != ' ')
+            break;
+        res = std::from_chars(res.ptr + 1, end, bytes);
+        if (res.ec != std::errc{} || res.ptr == end || *res.ptr != ' ')
+            break;
+        res = std::from_chars(res.ptr + 1, end, crc);
+        if (res.ec != std::errc{} || res.ptr != end)
+            break;
+        // Compare the length with the bytes left, never `start + bytes`
+        // with the size: a corrupt length near 2^64 wraps that sum.
+        const std::size_t start = pos + eol + 1;
+        if (bytes > size - start || !readAt(start, bytes) ||
+            fsio::fnv1a64(frame) != crc)
+            break;
+        const std::string_view payload(frame);
+        const std::size_t lineEnd = payload.find('\n');
+        std::size_t lineConfig = 0;
+        if (lineEnd == std::string_view::npos ||
+            !parseConfigIndex(payload, lineConfig) || lineConfig != config)
+            break;
+        visit(config, payload.substr(0, lineEnd + 1),
+              payload.substr(lineEnd + 1));
+        pos = start + bytes;
     }
+    return pos;
 }
 
-namespace {
+// ---------------------------------------------------------------------
+// Crc-line files (the quarantine ledger)
+// ---------------------------------------------------------------------
 
-/** Parse the leading `{"config":<n>` of a result-line payload. */
-bool
-parseConfigIndex(std::string_view payload, std::size_t &out)
+std::string
+crcLine(const std::string &line)
 {
-    constexpr std::string_view prefix = "{\"config\":";
-    if (payload.substr(0, prefix.size()) != prefix)
-        return false;
-    const char *begin = payload.data() + prefix.size();
-    const auto res =
-        std::from_chars(begin, payload.data() + payload.size(), out);
-    return res.ec == std::errc{} && res.ptr != begin;
+    // Strip the closing "}\n" and append the crc of what is left; the
+    // reader inverts this exactly.
+    if (line.size() < 2 || line.compare(line.size() - 2, 2, "}\n") != 0)
+        throw std::logic_error("crc line: line not in final format");
+    const std::string_view payload(line.data(), line.size() - 2);
+    std::string out(payload);
+    out += kCrcKey;
+    out += std::to_string(fsio::fnv1a64(payload));
+    out += "}\n";
+    return out;
 }
 
-} // namespace
-
-PartialReadResult
-readPartialResultLines(const std::string &path)
+CrcLineReadResult
+readCrcLines(const std::string &path)
 {
-    PartialReadResult result;
+    CrcLineReadResult result;
     const std::string text = fsio::readFileIfExists(path);
     std::size_t pos = 0;
     while (pos < text.size()) {
@@ -549,8 +525,7 @@ readPartialResultLines(const std::string &path)
         if (crcPos == std::string_view::npos)
             break;
         const std::string_view payload = line.substr(0, crcPos);
-        const char *numBegin =
-            line.data() + crcPos + std::strlen(kCrcKey);
+        const char *numBegin = line.data() + crcPos + kCrcKey.size();
         std::uint64_t crc = 0;
         const auto res =
             std::from_chars(numBegin, line.data() + line.size(), crc);
@@ -561,57 +536,15 @@ readPartialResultLines(const std::string &path)
             res.ptr != line.data() + line.size() - 1 ||
             line.back() != '}' || fsio::fnv1a64(payload) != crc)
             break;
-        PartialRunRecord rec;
+        CrcLineRecord rec;
         if (!parseConfigIndex(payload, rec.config))
             break;
-        rec.resultLine.assign(payload);
-        rec.resultLine += "}\n";
+        rec.line.assign(payload);
+        rec.line += "}\n";
         result.records.push_back(std::move(rec));
         pos = eol + 1;
     }
     result.validBytes = pos;
-    result.truncatedTail = pos < text.size();
-    return result;
-}
-
-PartialCsvReadResult
-readPartialCsvFrames(const std::string &path)
-{
-    PartialCsvReadResult result;
-    const std::string text = fsio::readFileIfExists(path);
-    const std::size_t magicLen = std::strlen(kFrameMagic);
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        const std::size_t eol = text.find('\n', pos);
-        if (eol == std::string::npos ||
-            text.compare(pos, magicLen, kFrameMagic) != 0)
-            break;
-        // Header: "#@run <config> <bytes> <crc>".
-        std::size_t config = 0, bytes = 0;
-        std::uint64_t crc = 0;
-        const char *cursor = text.data() + pos + magicLen;
-        const char *end = text.data() + eol;
-        auto res = std::from_chars(cursor, end, config);
-        if (res.ec != std::errc{} || res.ptr >= end || *res.ptr != ' ')
-            break;
-        res = std::from_chars(res.ptr + 1, end, bytes);
-        if (res.ec != std::errc{} || res.ptr >= end || *res.ptr != ' ')
-            break;
-        res = std::from_chars(res.ptr + 1, end, crc);
-        if (res.ec != std::errc{} || res.ptr != end)
-            break;
-        const std::size_t blockStart = eol + 1;
-        if (blockStart + bytes > text.size())
-            break;  // torn mid-block
-        const std::string_view block(text.data() + blockStart, bytes);
-        if (fsio::fnv1a64(block) != crc)
-            break;
-        result.records.push_back(
-            PartialCsvRecord{config, std::string(block)});
-        pos = blockStart + bytes;
-    }
-    result.validBytes = pos;
-    result.truncatedTail = pos < text.size();
     return result;
 }
 

@@ -26,7 +26,7 @@
  * Doubles are written in shortest round-trip form (std::to_chars), so a
  * CSV round trip is value-exact. A file may hold many blocks back to
  * back — each `# env=` line after a header row starts a new trajectory —
- * which is how per-shard CSVs stream many runs into one file.
+ * which is how a shard CSV holds one block per run.
  *
  * ## Shard / manifest layout and the resume contract
  *
@@ -55,40 +55,44 @@
  * Dataset::loadDirectory ingests such directories transparently (it
  * reads every *.csv, recursing into subdirectories, in sorted order).
  *
- * ## Run-granular durability: the partial files and the repair pass
+ * ## Run-granular durability: the partial file and the repair pass
  *
  * While a claimed shard is executing, every finished run is appended
- * immediately to checksummed partial files next to the shard:
+ * immediately to one checksummed partial file next to the shard:
  *
- *     <dir>/shard_0000.partial.jsonl   one result line per finished
- *                                      run, in completion order, each
- *                                      with a trailing "crc" field
- *     <dir>/shard_0000.partial.csvf    framed CSV blocks (exportDataset
- *                                      only): `#@run <config> <bytes>
- *                                      <crc>` header + the block bytes
+ *     <dir>/shard_0000.partial   one frame per finished run, in
+ *                                completion order:
+ *                                `#@run <config> <bytes> <crc>` + '\n'
+ *                                + the run's final-format result line
+ *                                + its CSV block (exportDataset only)
  *
- * A worker that claims a shard left behind by a dead peer runs a
- * *repair pass* first: it re-reads both partial files through the
- * validating readers below (a torn or corrupt record — e.g. a write
- * cut mid-line by SIGKILL — fails its checksum and discards the tail
- * from that point), re-ingests every intact run, and re-runs only the
- * rest. Resume granularity is therefore a single run, not a shard,
- * and because result lines and CSV blocks are deterministic for a
- * (config, seed) pair, the repaired shard's final files are
- * byte-identical to an uninterrupted worker's. The `.csvf` extension
- * is deliberate: frames are not valid CSV, so Dataset::loadDirectory
- * never confuses them with finished shard exports. Both partial files
- * are deleted when the shard's final files are renamed into place.
- * See docs/sweep_service.md for the full cooperative protocol.
+ * One validating reader (readPartial below) serves both ends of a
+ * shard. A worker that claims a shard left behind by a dead peer runs
+ * a *repair pass* first: the reader finds every intact run (a torn or
+ * corrupt frame — e.g. a write cut short by SIGKILL — fails its
+ * checksum and ends the validated prefix), the file is truncated to
+ * that prefix, and only the other configs are re-run. Finalize then
+ * reads the same file again and writes both shard finals from each
+ * config's first record, so resume granularity is a single run, not a
+ * shard, and because result lines and CSV blocks are deterministic for
+ * a (config, seed) pair, a repaired shard's final files are
+ * byte-identical to an uninterrupted worker's. The `.partial` suffix
+ * keeps the frames out of Dataset::loadDirectory's `*.csv` scan. The
+ * partial file is deleted when the shard's final files are renamed
+ * into place. An older binary's pair of partials (a `.partial.jsonl`
+ * of result lines and a `.csvf` of CSV frames) is not read: those runs
+ * are re-run. See
+ * docs/sweep_service.md for the full cooperative protocol.
  */
 
 #ifndef ARCHGYM_CORE_TRAJECTORY_H
 #define ARCHGYM_CORE_TRAJECTORY_H
 
+#include <functional>
 #include <iosfwd>
-#include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/environment.h"
@@ -229,163 +233,100 @@ class Dataset
 };
 
 /**
- * Streams finished trajectories into one multi-block CSV, in run-index
- * order, as runs complete — the bounded-memory export path of the
- * sharded sweep engine: a sweep no longer retains every trajectory
- * until the end, it retains at most the few blocks that finished ahead
- * of the next index to write.
- *
- * append() is thread-safe and may be called from worker threads in any
- * completion order; blocks are buffered (serialized, not as live logs)
- * until their index is next, so the file bytes depend only on the runs
- * themselves, never on scheduling. close() fsyncs and closes the
- * file; it throws if indices in [first_index, first_index + count)
- * are still missing, since a gap means the shard is incomplete.
- */
-class StreamingDatasetWriter
-{
-  public:
-    /**
-     * @param path          output CSV (created/truncated)
-     * @param space         action space, for the CSV header
-     * @param metric_names  observation names, for the CSV header
-     * @param first_index   first run index of this file's range
-     * @param count         number of runs this file will hold
-     */
-    StreamingDatasetWriter(const std::string &path, const ParamSpace &space,
-                           std::vector<std::string> metric_names,
-                           std::size_t first_index, std::size_t count);
-
-    StreamingDatasetWriter(const StreamingDatasetWriter &) = delete;
-    StreamingDatasetWriter &
-    operator=(const StreamingDatasetWriter &) = delete;
-
-    /** Queue run `index`'s trajectory; writes it (and any unblocked
-     *  successors) once every earlier index has been written. */
-    void append(std::size_t index, const TrajectoryLog &log);
-
-    /** append() with the block already serialized (e.g. a block
-     *  recovered by the repair pass from a partial file). */
-    void appendSerialized(std::size_t index, std::string bytes);
-
-    /** Serialize one trajectory exactly as append() would write it. */
-    std::string serializeBlock(const TrajectoryLog &log) const;
-
-    /** fsync and close; throws on a missing index. */
-    void close();
-
-    /** Runs written to the file so far (not merely queued). */
-    std::size_t written() const;
-
-  private:
-    const ParamSpace &space_;
-    const std::vector<std::string> metricNames_;
-    fsio::File out_;
-    mutable std::mutex mutex_;
-    std::size_t next_;                          ///< next index to write
-    std::size_t end_;                           ///< one past last index
-    std::map<std::size_t, std::string> pending_; ///< serialized blocks
-};
-
-/**
  * Run-granular durability log of one executing shard (see the file
- * header): appends each finished run's result line — and, when the
- * sweep exports trajectories, its serialized CSV block — to the
- * shard's partial files the moment the run completes, so a crashed
- * worker strands at most the single run it was executing.
+ * header): appends each finished run to the shard's partial file the
+ * moment the run completes, so a crashed worker strands at most the
+ * runs it was executing.
  *
- * Appends are thread-safe and ordered for durability: the CSV frame
- * is written before the result line, so a validated result line
- * implies its block is on disk too. Each record goes out as one
- * O_APPEND write, flushed to the OS immediately — durable against
- * process death; against power loss the checksums in the record
- * formats let the repair pass discard a torn tail and re-run those
- * configs (the *final* shard files are the fsync'ed artifacts).
+ * Appends are thread-safe, and each frame goes out as one O_APPEND
+ * write, flushed to the OS immediately — durable against process
+ * death; against power loss the frame checksum lets the reader discard
+ * a torn tail and the next owner re-run those configs (the *final*
+ * shard files are the fsync'ed artifacts).
  *
- * Construction truncates each file to its validated byte count first
- * (as reported by the readers below), so a repaired shard's new
- * appends continue cleanly after the last intact record. Destruction
- * only closes (crash semantics): the files survive for the next
- * owner's repair pass.
+ * Construction truncates the file to its validated byte count first
+ * (as readPartial reports it), so a repaired shard's new appends
+ * continue cleanly after the last intact frame. Destruction only
+ * closes (crash semantics): the file survives for the next owner's
+ * repair pass.
  */
 class ShardPartialWriter
 {
   public:
     /**
-     * @param jsonl_path        the shard's .partial.jsonl
-     * @param csvf_path         the shard's .partial.csvf ("" = no CSV)
-     * @param jsonl_keep_bytes  validated prefix to keep (truncate to)
-     * @param csvf_keep_bytes   validated prefix to keep (truncate to)
+     * @param path        the shard's .partial file
+     * @param keep_bytes  validated prefix to keep (truncate to)
      */
-    ShardPartialWriter(const std::string &jsonl_path,
-                       const std::string &csvf_path,
-                       std::size_t jsonl_keep_bytes,
-                       std::size_t csvf_keep_bytes);
+    ShardPartialWriter(const std::string &path, std::size_t keep_bytes);
 
     ShardPartialWriter(const ShardPartialWriter &) = delete;
     ShardPartialWriter &operator=(const ShardPartialWriter &) = delete;
 
     /**
-     * Persist one finished run. `result_line` is the final-format
-     * JSONL line (with trailing newline) — the checksummed partial
-     * rendering is derived here; `csv_block` is ignored unless the
-     * writer was opened with a csvf path.
+     * Persist one finished run as one frame. `result_line` is the
+     * final-format JSONL line: exactly one line, ending in "}\n".
+     * `csv_block` is its trajectory's CSV block, empty when the sweep
+     * exports no dataset.
      */
     void append(std::size_t config, const std::string &result_line,
                 const std::string &csv_block);
 
-    /** Close and delete both partial files (shard finalized). */
+    /** Close and delete the partial file (shard finalized). */
     void closeAndRemove();
 
   private:
     std::mutex mutex_;
-    fsio::File jsonl_;
-    fsio::File csvf_;  ///< closed when the writer has no CSV
-};
-
-/** One intact run recovered from a .partial.jsonl. */
-struct PartialRunRecord
-{
-    std::size_t config = 0;
-    std::string resultLine; ///< final-format line, trailing newline
-};
-
-/** Validated prefix of a .partial.jsonl (see readPartialResultLines). */
-struct PartialReadResult
-{
-    std::vector<PartialRunRecord> records; ///< intact lines, file order
-    std::size_t validBytes = 0;  ///< torn/corrupt tail starts here
-    bool truncatedTail = false;  ///< bytes past validBytes were dropped
+    fsio::File file_;
 };
 
 /**
- * Validating reader for a shard's .partial.jsonl: returns every line
- * whose trailing crc field matches its payload, stopping at the first
- * line that is torn or corrupt (everything from there on is reported
- * as a truncated tail, never ingested). A missing file reads as empty.
+ * Receives one intact partial record: the result line (with its
+ * trailing newline) and the CSV block. The views live until the call
+ * returns.
  */
-PartialReadResult readPartialResultLines(const std::string &path);
+using PartialVisitor =
+    std::function<void(std::size_t config, std::string_view result_line,
+                       std::string_view csv_block)>;
 
-/** One intact CSV block recovered from a .partial.csvf. */
-struct PartialCsvRecord
+/**
+ * Validating reader of a shard's partial file, shared by the repair
+ * pass and finalize. It reads one frame at a time into a reused buffer
+ * and calls `visit` for each frame, in file order, whose length fits
+ * the file, whose checksum matches, and whose result line names the
+ * frame's config. It stops at the first frame that fails, since
+ * everything from there on is a torn or corrupt tail, and returns the
+ * validated byte count before it. A missing file reads as empty.
+ */
+std::size_t readPartial(const std::string &path, const PartialVisitor &visit);
+
+/**
+ * Crc-line rendering of the quarantine ledger: `line` (one
+ * final-format JSON line ending in "}\n") with a trailing
+ * `"crc":<fnv1a64 of the rest>` field.
+ */
+std::string crcLine(const std::string &line);
+
+/** One intact line recovered from a crc-line file. */
+struct CrcLineRecord
 {
     std::size_t config = 0;
-    std::string block; ///< bytes exactly as serializeBlock produced
+    std::string line;  ///< as passed to crcLine, trailing newline
 };
 
-/** Validated prefix of a .partial.csvf (see readPartialCsvFrames). */
-struct PartialCsvReadResult
+/** Validated prefix of a crc-line file (see readCrcLines). */
+struct CrcLineReadResult
 {
-    std::vector<PartialCsvRecord> records;
-    std::size_t validBytes = 0;
-    bool truncatedTail = false;
+    std::vector<CrcLineRecord> records;  ///< intact lines, file order
+    std::size_t validBytes = 0;          ///< torn/corrupt tail starts here
 };
 
 /**
- * Validating reader for a shard's .partial.csvf frame stream; same
- * truncate-at-first-corruption contract as readPartialResultLines.
+ * Validating reader of a crc-line file (the quarantine ledger):
+ * returns every line whose crc field matches its payload, stopping at
+ * the first line that is torn or corrupt. A missing file reads as
+ * empty.
  */
-PartialCsvReadResult readPartialCsvFrames(const std::string &path);
+CrcLineReadResult readCrcLines(const std::string &path);
 
 } // namespace archgym
 

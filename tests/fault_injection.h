@@ -45,7 +45,7 @@ class FaultHookGuard
 /**
  * Kill worker `victim` (by throwing WorkerKilled out of the engine,
  * which unwinds exactly like a SIGKILL leaves disk state: lease file
- * present, partial files present, no finals) after it has durably
+ * present, partial file present, no finals) after it has durably
  * persisted `after_runs` runs. One-shot.
  */
 class KillAfterRuns
@@ -129,8 +129,8 @@ class InjectedClock
 
 /**
  * Make a set of sweep configs poisonous. Throwing poisons raise a
- * deterministic std::runtime_error from the beforeRun hook on every
- * attempt; hanging poisons spin at a cooperative checkpoint — with a
+ * deterministic std::runtime_error ("<message> <config>") from the
+ * beforeRun hook on every attempt; hanging poisons spin at a cooperative checkpoint — with a
  * deadline armed they raise RunTimeout once the (usually injected)
  * clock passes it, without one they would wedge forever, which is
  * exactly what the lease-watchdog tests need. Per-config attempt
@@ -141,9 +141,10 @@ class PoisonConfigs
   public:
     PoisonConfigs(std::set<std::size_t> throwing,
                   std::set<std::size_t> hanging = {},
-                  std::uint64_t hang_advance_ms = 0)
+                  std::uint64_t hang_advance_ms = 0,
+                  std::string message = "injected poison config")
         : throwing_(std::move(throwing)), hanging_(std::move(hanging)),
-          hangAdvanceMs_(hang_advance_ms)
+          hangAdvanceMs_(hang_advance_ms), message_(std::move(message))
     {
         faultHooks().beforeRun = [this](const std::string &,
                                         std::size_t,
@@ -155,7 +156,7 @@ class PoisonConfigs
                 ++attempts_[config];
             }
             if (throws)
-                throw std::runtime_error("injected poison config " +
+                throw std::runtime_error(message_ + " " +
                                          std::to_string(config));
             if (!hangs)
                 return;
@@ -202,6 +203,7 @@ class PoisonConfigs
     std::set<std::size_t> throwing_;
     std::set<std::size_t> hanging_;
     std::uint64_t hangAdvanceMs_;
+    std::string message_;
     mutable std::mutex mutex_;
     std::map<std::size_t, std::size_t> attempts_;
     std::atomic<bool> released_{false};

@@ -763,6 +763,25 @@ TEST(JsonIo, UnterminatedStringThrows)
                        "env");
 }
 
+TEST(JsonIo, ControlBytesRoundTrip)
+{
+    const std::string raw = "a\nb\r\t\x01\"\\";
+    const std::string escaped = jsonio::escape(raw);
+    for (const char c : escaped)
+        EXPECT_GE(static_cast<unsigned char>(c), 0x20) << escaped;
+    const std::string text = "{\"s\":\"" + escaped + "\",\"n\":1}";
+    EXPECT_EQ(jsonio::stringField(text, "s", "ctx"), raw);
+}
+
+TEST(JsonIo, EscapesItNeverWritesThrow)
+{
+    for (const std::string text :
+         {"{\"env\":\"a\\qb\"}", "{\"env\":\"a\\u0041\"}",
+          "{\"env\":\"a\\u00g1\"}", "{\"env\":\"a\\u00"})
+        expectRejected([&] { jsonio::stringField(text, "env", "ctx"); },
+                       "env");
+}
+
 TEST(JsonIo, UnterminatedArraysThrow)
 {
     for (const std::string text :

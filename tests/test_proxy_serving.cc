@@ -87,11 +87,9 @@ std::string
 writeCsvPool(const std::string &dir, const ParamSpace &space,
              const std::vector<TrajectoryLog> &logs)
 {
-    StreamingDatasetWriter writer((fs::path(dir) / "pool.csv").string(),
-                                  space, kMetrics, 0, logs.size());
-    for (std::size_t i = 0; i < logs.size(); ++i)
-        writer.append(i, logs[i]);
-    writer.close();
+    std::ofstream out(fs::path(dir) / "pool.csv", std::ios::binary);
+    for (const auto &log : logs)
+        log.writeCsv(out, space, kMetrics);
     return dir;
 }
 
@@ -186,6 +184,21 @@ TEST(Columnar, DirectWriterMatchesCsvConversion)
     expectSameTransitions(
         ColumnarDatasetReader::open(stemA).loadAllTransitions(),
         ColumnarDatasetReader::open(stemB).loadAllTransitions());
+}
+
+TEST(Columnar, MetricNamesWithControlBytesRoundTrip)
+{
+    const std::string dir = tempDir("columnar_names");
+    const ParamSpace space = smallSpace();
+    const std::vector<std::string> names = {"lat\nency", "p\"o\\w\r\t\x01"};
+    const std::string stem = (fs::path(dir) / "col").string();
+    {
+        ColumnarDatasetWriter writer(stem, space, names, 8);
+        for (const auto &log : syntheticLogs(space, {3}))
+            writer.append(log);
+        writer.close();
+    }
+    EXPECT_EQ(ColumnarDatasetReader::open(stem).metricNames(), names);
 }
 
 TEST(Columnar, GatherRowsReturnsRequestedRowsInOrder)

@@ -1,9 +1,8 @@
 /**
  * @file
  * Tests for the sharded, resumable sweep engine (runSweepSharded) and
- * the streaming dataset export path: interruption/resume bit-identity
- * at several worker counts, manifest validation, shard re-ingestion,
- * and the ordered StreamingDatasetWriter.
+ * its dataset export path: interruption/resume bit-identity at several
+ * worker counts, manifest validation and shard re-ingestion.
  */
 
 #include <gtest/gtest.h>
@@ -726,74 +725,6 @@ TEST(ShardedSweep, WorksOnSimulatorBackedEnvironment)
     EXPECT_EQ(sharded.bestRewards, parallel.bestRewards);
     const Dataset ds = Dataset::loadDirectory(opts.directory);
     EXPECT_EQ(ds.transitionCount(), configs.size() * 15);
-}
-
-// --------------------------------------------------------------------
-// StreamingDatasetWriter
-// --------------------------------------------------------------------
-
-ParamSpace
-writerSpace()
-{
-    ParamSpace space;
-    space.add(ParamDesc::integer("x", 0, 9));
-    return space;
-}
-
-TrajectoryLog
-logWithTag(double tag)
-{
-    TrajectoryLog log("Env" + std::to_string(static_cast<int>(tag)),
-                      "A", "");
-    log.append(Transition{{tag}, {tag * 2.0}, tag * 0.1});
-    return log;
-}
-
-TEST(StreamingDatasetWriter, OutOfOrderAppendsLandInIndexOrder)
-{
-    const auto space = writerSpace();
-    const std::string path =
-        (fs::path(::testing::TempDir()) / "stream_ooo.csv").string();
-    StreamingDatasetWriter writer(path, space, {"m"}, 0, 3);
-    writer.append(2, logWithTag(2));
-    EXPECT_EQ(writer.written(), 0u);  // waiting for index 0
-    writer.append(0, logWithTag(0));
-    EXPECT_EQ(writer.written(), 1u);  // 0 flushed, 1 still missing
-    writer.append(1, logWithTag(1));
-    EXPECT_EQ(writer.written(), 3u);  // 1 unblocked 2 as well
-    writer.close();
-
-    std::ifstream in(path);
-    const auto logs = TrajectoryLog::readCsvAll(in);
-    ASSERT_EQ(logs.size(), 3u);
-    EXPECT_EQ(logs[0].envName(), "Env0");
-    EXPECT_EQ(logs[1].envName(), "Env1");
-    EXPECT_EQ(logs[2].envName(), "Env2");
-    EXPECT_EQ(logs[2][0].action, (Action{2.0}));
-}
-
-TEST(StreamingDatasetWriter, CloseWithMissingIndexThrows)
-{
-    const auto space = writerSpace();
-    const std::string path =
-        (fs::path(::testing::TempDir()) / "stream_gap.csv").string();
-    StreamingDatasetWriter writer(path, space, {"m"}, 0, 2);
-    writer.append(1, logWithTag(1));
-    EXPECT_THROW(writer.close(), std::runtime_error);
-}
-
-TEST(StreamingDatasetWriter, RejectsDuplicateAndOutOfRangeIndices)
-{
-    const auto space = writerSpace();
-    const std::string path =
-        (fs::path(::testing::TempDir()) / "stream_dup.csv").string();
-    StreamingDatasetWriter writer(path, space, {"m"}, 4, 2);
-    writer.append(4, logWithTag(4));
-    EXPECT_THROW(writer.append(4, logWithTag(4)), std::runtime_error);
-    EXPECT_THROW(writer.append(6, logWithTag(6)), std::runtime_error);
-    EXPECT_THROW(writer.append(3, logWithTag(3)), std::runtime_error);
-    writer.append(5, logWithTag(5));
-    writer.close();
 }
 
 } // namespace

@@ -27,6 +27,7 @@
 
 #include "core/agent.h"
 #include "core/driver.h"
+#include "core/jsonio.h"
 #include "core/lease.h"
 #include "core/resilience.h"
 #include "core/toy_envs.h"
@@ -141,8 +142,7 @@ finalShardBytes(const std::string &dir, const std::string &extension)
         const std::string name = entry.path().filename().string();
         if (entry.path().extension() == extension &&
             name.rfind("shard_", 0) == 0 &&
-            name.find(".quarantine.") == std::string::npos &&
-            name.find(".partial.") == std::string::npos)
+            name.find(".quarantine.") == std::string::npos)
             files.push_back(entry.path());
     }
     std::sort(files.begin(), files.end());
@@ -272,10 +272,9 @@ TEST(SweepService, KilledWorkerShardIsStolenAndRepairedRunGranular)
     }
 
     // SIGKILL aftermath: the lease survives (stale once the TTL
-    // passes) and the two persisted runs sit in the partial files.
+    // passes) and the two persisted runs sit in the partial file.
     EXPECT_TRUE(fs::exists(fs::path(dir) / "shard_0000.lease"));
-    EXPECT_TRUE(fs::exists(fs::path(dir) / "shard_0000.partial.jsonl"));
-    EXPECT_TRUE(fs::exists(fs::path(dir) / "shard_0000.partial.csvf"));
+    EXPECT_TRUE(fs::exists(fs::path(dir) / "shard_0000.partial"));
     EXPECT_FALSE(fs::exists(fs::path(dir) / "shard_0000.jsonl"));
 
     InjectedClock::advanceMs(2000);  // let the victim's lease go stale
@@ -291,7 +290,7 @@ TEST(SweepService, KilledWorkerShardIsStolenAndRepairedRunGranular)
     EXPECT_EQ(shardBytes(dir, ".csv"), shardBytes(refDir, ".csv"));
     // The repair consumed the dead worker's leftovers.
     EXPECT_FALSE(fs::exists(fs::path(dir) / "shard_0000.lease"));
-    EXPECT_FALSE(fs::exists(fs::path(dir) / "shard_0000.partial.jsonl"));
+    EXPECT_FALSE(fs::exists(fs::path(dir) / "shard_0000.partial"));
 }
 
 TEST(SweepService, CrashWithTwoShardsOpenRepairsEveryPersistedRun)
@@ -348,9 +347,7 @@ TEST(SweepService, CrashWithTwoShardsOpenRepairsEveryPersistedRun)
     // Crash aftermath of both open shards: leases and partials stay.
     for (const std::string stem : {"shard_0000", "shard_0001"}) {
         EXPECT_TRUE(fs::exists(fs::path(dir) / (stem + ".lease"))) << stem;
-        EXPECT_TRUE(fs::exists(fs::path(dir) / (stem + ".partial.jsonl")))
-            << stem;
-        EXPECT_TRUE(fs::exists(fs::path(dir) / (stem + ".partial.csvf")))
+        EXPECT_TRUE(fs::exists(fs::path(dir) / (stem + ".partial")))
             << stem;
         EXPECT_FALSE(fs::exists(fs::path(dir) / (stem + ".jsonl"))) << stem;
     }
@@ -405,11 +402,11 @@ TEST(SweepService, TruncatedPartialTailDiscardsOnlyTheTornRun)
         EXPECT_THROW(fx.run(opts), WorkerKilled);
     }
 
-    // Tear the second result line mid-record, as a crash inside a
-    // non-atomic page flush would: its checksum no longer matches, so
-    // only the first run stays durable.
+    // Tear the second record mid-frame, as a crash inside a non-atomic
+    // page flush would: its frame no longer fits the file, so only the
+    // first run stays durable.
     testing::truncateTail(
-        (fs::path(dir) / "shard_0000.partial.jsonl").string(), 3);
+        (fs::path(dir) / "shard_0000.partial").string(), 3);
 
     InjectedClock::advanceMs(2000);
     auto peer = fx.options(dir, "peer");
@@ -439,7 +436,7 @@ TEST(SweepService, GarbageAfterValidPartialRecordsIsDiscarded)
         EXPECT_THROW(fx.run(opts), WorkerKilled);
     }
     testing::appendGarbage(
-        (fs::path(dir) / "shard_0000.partial.jsonl").string());
+        (fs::path(dir) / "shard_0000.partial").string());
 
     InjectedClock::advanceMs(2000);
     auto peer = fx.options(dir, "peer");
@@ -449,6 +446,85 @@ TEST(SweepService, GarbageAfterValidPartialRecordsIsDiscarded)
     EXPECT_EQ(repaired.runsRepaired, 2u);  // valid prefix kept whole
     expectSameResult(repaired, ref);
     EXPECT_EQ(shardBytes(dir, ".jsonl"), shardBytes(refDir, ".jsonl"));
+}
+
+TEST(SweepService, PartialFrameClaimingAHugeLengthIsATornTail)
+{
+    const Fixture fx;
+    const std::string refDir = tempDir("svc_huge_frame_ref");
+    const ShardedSweepResult ref = fx.reference(refDir);
+
+    // 2^64 - 1 payload bytes: `start + bytes` wraps past the file size,
+    // so only a reader that compares with the bytes left sees the tear.
+    const std::string dir = tempDir("svc_huge_frame");
+    fs::create_directories(dir);
+    std::ofstream(fs::path(dir) / "shard_0000.partial", std::ios::binary)
+        << "#@run 0 18446744073709551615 123\n{\"config\":0}\n";
+
+    const ShardedSweepResult result = fx.run(fx.options(dir, "next"));
+    EXPECT_TRUE(result.complete);
+    EXPECT_EQ(result.runsRepaired, 0u);
+    expectSameResult(result, ref);
+    EXPECT_EQ(shardBytes(dir, ".jsonl"), shardBytes(refDir, ".jsonl"));
+    EXPECT_EQ(shardBytes(dir, ".csv"), shardBytes(refDir, ".csv"));
+}
+
+TEST(SweepService, FinalizeWithARecordMissingPublishesNothing)
+{
+    const Fixture fx;
+    const std::string refDir = tempDir("svc_missing_record_ref");
+    const ShardedSweepResult ref = fx.reference(refDir);
+
+    const std::string dir = tempDir("svc_missing_record");
+    const fs::path partial = fs::path(dir) / "shard_0000.partial";
+    FaultHookGuard guard;
+    InjectedClock clock;
+    // Shard 0 runs configs 0, 1, 2 in order on one thread. Once the
+    // last one is durable, flip a byte of config 0's frame: finalize
+    // then finds no intact record of config 0.
+    faultHooks().afterRunPersisted = [&](const std::string &,
+                                         std::size_t shard,
+                                         std::size_t config) {
+        if (shard != 0 || config != 2)
+            return;
+        std::string bytes = fileBytes(partial);
+        const std::size_t pos = bytes.find('\n') + 3;  // in the payload
+        bytes[pos] ^= 0x20;
+        std::ofstream(partial, std::ios::binary | std::ios::trunc) << bytes;
+    };
+
+    auto opts = fx.options(dir, "victim");
+    opts.leaseTtlMs = 1000;
+    try {
+        fx.run(opts);
+        FAIL() << "finalize published a shard with a record missing";
+    } catch (const std::runtime_error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("shard_0000.partial"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("config 0 "), std::string::npos) << what;
+    }
+    faultHooks().clear();
+    // Nothing of shard 0 is published; lease and partial stay as a
+    // crash leaves them.
+    EXPECT_FALSE(fs::exists(fs::path(dir) / "shard_0000.jsonl"));
+    EXPECT_FALSE(fs::exists(fs::path(dir) / "shard_0000.csv"));
+    EXPECT_TRUE(fs::exists(partial));
+    EXPECT_TRUE(fs::exists(fs::path(dir) / "shard_0000.lease"));
+    for (const auto &entry : fs::directory_iterator(dir))
+        EXPECT_EQ(entry.path().string().find(".tmp"), std::string::npos)
+            << entry.path();
+
+    InjectedClock::advanceMs(2000);
+    auto peer = fx.options(dir, "peer");
+    peer.leaseTtlMs = 1000;
+    const ShardedSweepResult repaired = fx.run(peer);
+    EXPECT_TRUE(repaired.complete);
+    EXPECT_EQ(repaired.shardsStolen, 1u);
+    EXPECT_EQ(repaired.runsRepaired, 0u);  // the bad frame was the first
+    expectSameResult(repaired, ref);
+    EXPECT_EQ(shardBytes(dir, ".jsonl"), shardBytes(refDir, ".jsonl"));
+    EXPECT_EQ(shardBytes(dir, ".csv"), shardBytes(refDir, ".csv"));
 }
 
 TEST(SweepService, CorruptLeaseIsTreatedAsStaleAndStolen)
@@ -924,6 +1000,43 @@ TEST(SweepService, QuarantineAttemptBudgetSurvivesKillAndResume)
               std::string::npos);
 }
 
+TEST(SweepService, QuarantinedErrorWithControlBytesResumes)
+{
+    // The failure text lands in the gap line of the finals and in the
+    // ledger's crc line, so a raw newline in it used to split both:
+    // resume threw on the torn gap line, and the ledger lost every
+    // attempt record from that line on.
+    const Fixture fx;
+    FaultHookGuard guard;
+    PoisonConfigs poison({1}, {}, 0, "first line\nsecond line\t\x01");
+
+    RunAttemptPolicy pol;
+    pol.maxAttempts = 1;
+    pol.backoffBaseMs = 0;
+    pol.quarantine = true;
+
+    const std::string dir = tempDir("svc_quarantine_newline");
+    auto opts = fx.options(dir, "w");
+    opts.attempts = pol;
+    const ShardedSweepResult first = fx.run(opts);
+    ASSERT_TRUE(first.complete);
+    EXPECT_EQ(first.runsQuarantined, 1u);
+
+    const ShardedSweepResult resumed = fx.run(opts);
+    EXPECT_TRUE(resumed.complete);
+    EXPECT_EQ(resumed.shardsSkipped, resumed.shardCount);
+    EXPECT_EQ(resumed.runsQuarantined, 1u);
+    expectSameResult(resumed, first);
+    EXPECT_EQ(poison.attempts(1), 1u);
+
+    const fs::path ledger = fs::path(dir) / "shard_0000.quarantine.jsonl";
+    const CrcLineReadResult read = readCrcLines(ledger.string());
+    ASSERT_EQ(read.records.size(), 1u);
+    EXPECT_EQ(read.validBytes, fileBytes(ledger).size());
+    EXPECT_EQ(jsonio::stringField(read.records[0].line, "error", "ledger"),
+              "first line\nsecond line\t\x01 1");
+}
+
 TEST(SweepService, HungRunStopsHeartbeatSoPeerStealsTheShard)
 {
     const Fixture fx;
@@ -1017,14 +1130,13 @@ TEST(SweepService, MultiProcessWorkersCooperateThroughTheCli)
             << worker << " output:\n" << out;
     }
     // ... and the directory holds exactly the finalized artifacts
-    // (note .partial.jsonl would also have extension .jsonl — classify
-    // by full name, not extension).
+    // (classify by full name: debris shares the finals' shard_ stem).
     std::size_t jsonl = 0, csv = 0, leftovers = 0;
     for (const auto &entry : fs::directory_iterator(dir)) {
         const std::string name = entry.path().filename().string();
         if (name.rfind("shard_", 0) != 0)
             continue;
-        if (name.find(".partial.") != std::string::npos ||
+        if (name.find(".partial") != std::string::npos ||
             name.find(".lease") != std::string::npos ||
             name.find(".tmp") != std::string::npos)
             ++leftovers;  // dead-worker debris must all be consumed
