@@ -102,13 +102,11 @@ syntheticPool(const ParamSpace &space, std::size_t runs,
     for (std::size_t r = 0; r < runs; ++r) {
         TrajectoryLog log("SynthEnv", "RW", "runs=" + std::to_string(r));
         for (std::size_t i = 0; i < rows_per_run; ++i) {
-            Transition t;
-            t.action = space.sample(rng);
-            const double a0 = t.action[0], a1 = t.action[1];
-            t.observation = {a0 * 1.5 + a1, a0 - a1 * 0.25,
-                             a0 * a1 * 0.01};
-            t.reward = -t.observation[0];
-            log.append(std::move(t));
+            const Action action = space.sample(rng);
+            const double a0 = action[0], a1 = action[1];
+            const double metrics[] = {a0 * 1.5 + a1, a0 - a1 * 0.25,
+                                      a0 * a1 * 0.01};
+            log.append(action, metrics, -metrics[0]);
         }
         logs.push_back(std::move(log));
     }

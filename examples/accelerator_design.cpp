@@ -59,7 +59,7 @@ main()
 
     // Because every transition was logged, the latency/energy trade-off
     // behind the scalar search falls out for free (core/pareto.h).
-    const auto front = paretoFront(r.trajectory.transitions(), {0, 1},
+    const auto front = paretoFront(r.trajectory.toTransitions(), {0, 1},
                                    {Sense::Minimize, Sense::Minimize});
     std::printf("\nlatency/energy Pareto front (%zu of %zu explored "
                 "designs):\n",

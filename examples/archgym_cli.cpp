@@ -682,6 +682,7 @@ main(int argc, char **argv)
                     r.trajectory.size(), logPath.c_str());
     }
     if (pareto)
-        printParetoFront(r.trajectory.transitions(), env->metricNames());
+        printParetoFront(r.trajectory.toTransitions(),
+                         env->metricNames());
     return 0;
 }

@@ -133,19 +133,17 @@ ColumnarDatasetWriter::append(const TrajectoryLog &log)
     pendingHyper_ = log.hyperParams();
     pendingContinuation_ = false;
 
-    const std::size_t metricCount = metricNames_.size();
-    for (const Transition &t : log.transitions()) {
-        if (t.action.size() != actionDims_ ||
-            t.observation.size() != metricCount) {
-            throw std::runtime_error(
-                "ColumnarDatasetWriter: transition shape mismatch in "
-                "trajectory for agent " + log.agentName());
-        }
-        for (std::size_t d = 0; d < actionDims_; ++d)
-            pendingCols_[d].push_back(t.action[d]);
-        for (std::size_t m = 0; m < metricCount; ++m)
-            pendingCols_[actionDims_ + m].push_back(t.observation[m]);
-        pendingCols_.back().push_back(t.reward);
+    if (log.actionDims() != actionDims_ ||
+        log.metricDims() != metricNames_.size())
+        throw std::runtime_error(
+            "ColumnarDatasetWriter: transition shape mismatch in "
+            "trajectory for agent " + log.agentName());
+    // A log row and a group row share the column order: actions,
+    // metrics, reward.
+    for (std::size_t i = 0; i < log.size(); ++i) {
+        const std::span<const double> row = log.row(i);
+        for (std::size_t c = 0; c < row.size(); ++c)
+            pendingCols_[c].push_back(row[c]);
         if (pendingCols_.front().size() >= rowsPerGroup_)
             flushGroup();
     }
@@ -421,8 +419,8 @@ ColumnarDatasetReader::toDataset() const
                                     meta.hyperParams);
             haveLog = true;
         }
-        for (auto &t : loadGroup(g).toTransitions())
-            current.append(std::move(t));
+        for (const Transition &t : loadGroup(g).toTransitions())
+            current.append(t);
     }
     if (haveLog)
         dataset.add(std::move(current));

@@ -48,7 +48,7 @@ runSearch(Environment &env, Agent &agent, const RunConfig &config)
     // Shared per-sample bookkeeping so the per-step and batched loops
     // record trajectories identically. Returns true when the search
     // should stop (objective satisfied).
-    const auto record = [&](Action action, const StepResult &sr,
+    const auto record = [&](const Action &action, const StepResult &sr,
                             std::size_t index) {
         if (config.recordRewardHistory)
             result.rewardHistory.push_back(sr.reward);
@@ -59,8 +59,10 @@ runSearch(Environment &env, Agent &agent, const RunConfig &config)
             result.bestSampleIndex = index;
         }
         if (config.logTrajectory) {
-            result.trajectory.append(
-                Transition{std::move(action), sr.observation, sr.reward});
+            result.trajectory.append(action, sr.observation, sr.reward);
+            // The first row fixed the row width: make room for the run.
+            if (result.trajectory.size() == 1)
+                result.trajectory.reserve(config.maxSamples);
         }
         ++result.samplesUsed;
         return config.stopWhenSatisfied && sr.done;
@@ -91,10 +93,10 @@ runSearch(Environment &env, Agent &agent, const RunConfig &config)
             // own loops carry no checkpoints (toy envs, foreign cost
             // models) honours the run deadline at sample granularity.
             resilience::checkpoint();
-            Action action = agent.selectAction();
+            const Action action = agent.selectAction();
             const StepResult sr = env.step(action);
             agent.observe(action, sr.observation, sr.reward);
-            if (record(std::move(action), sr, i))
+            if (record(action, sr, i))
                 break;
         }
     }

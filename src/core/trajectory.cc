@@ -21,6 +21,48 @@
 namespace archgym {
 
 void
+TrajectoryLog::append(std::span<const double> action,
+                      std::span<const double> observation, double reward)
+{
+    if (values_.empty()) {
+        actionDims_ = action.size();
+        metricDims_ = observation.size();
+    } else if (action.size() != actionDims_ ||
+               observation.size() != metricDims_) {
+        throw std::invalid_argument(
+            "TrajectoryLog::append: row of " +
+            std::to_string(action.size()) + " action + " +
+            std::to_string(observation.size()) +
+            " metric values, but the log's rows have " +
+            std::to_string(actionDims_) + " + " +
+            std::to_string(metricDims_));
+    }
+    values_.insert(values_.end(), action.begin(), action.end());
+    values_.insert(values_.end(), observation.begin(), observation.end());
+    values_.push_back(reward);
+}
+
+Transition
+TrajectoryLog::operator[](std::size_t i) const
+{
+    const std::span<const double> r = row(i);
+    const auto action = r.first(actionDims_);
+    const auto metrics = r.subspan(actionDims_, metricDims_);
+    return Transition{Action(action.begin(), action.end()),
+                      Metrics(metrics.begin(), metrics.end()), r.back()};
+}
+
+std::vector<Transition>
+TrajectoryLog::toTransitions() const
+{
+    std::vector<Transition> out;
+    out.reserve(size());
+    for (std::size_t i = 0; i < size(); ++i)
+        out.push_back((*this)[i]);
+    return out;
+}
+
+void
 TrajectoryLog::writeCsv(std::ostream &os, const ParamSpace &space,
                         const std::vector<std::string> &metric_names) const
 {
@@ -32,22 +74,20 @@ TrajectoryLog::writeCsv(std::ostream &os, const ParamSpace &space,
     for (const auto &m : metric_names)
         os << "," << m;
     os << ",reward\n";
+    // Row by row through one reused line buffer: rendering the whole
+    // block into one string first adds a ~16 KB transient per run, and
+    // that cost the sweep measurable system time.
     std::string line;
-    for (const auto &t : transitions_) {
+    for (std::size_t i = 0, n = size(); i < n; ++i) {
         line.clear();
-        bool first = true;
-        for (double a : t.action) {
-            if (!first)
+        const std::span<const double> cells = row(i);
+        for (std::size_t c = 0; c < cells.size(); ++c) {
+            // A comma precedes every cell but the first action value,
+            // so a log without action columns starts each row with one.
+            if (c != 0 || actionDims_ == 0)
                 line.push_back(',');
-            jsonio::appendDouble(line, a);
-            first = false;
+            jsonio::appendDouble(line, cells[c]);
         }
-        for (double m : t.observation) {
-            line.push_back(',');
-            jsonio::appendDouble(line, m);
-        }
-        line.push_back(',');
-        jsonio::appendDouble(line, t.reward);
         line.push_back('\n');
         os << line;
     }
@@ -55,72 +95,45 @@ TrajectoryLog::writeCsv(std::ostream &os, const ParamSpace &space,
 
 namespace {
 
-/** Value of a "# key=value" comment line, or empty. */
-std::string
-commentValue(const std::string &line, const std::string &key)
+/** When `line` is the "<prefix><value>" comment, set value and say so. */
+bool
+commentValue(std::string_view line, std::string_view prefix,
+             std::string_view &value)
 {
-    const std::string prefix = "# " + key + "=";
-    if (line.rfind(prefix, 0) == 0)
-        return line.substr(prefix.size());
-    return "";
+    if (!line.starts_with(prefix))
+        return false;
+    value = line.substr(prefix.size());
+    return true;
 }
 
-/** Parse one full CSV cell as a double; the whole cell must consume. */
-double
-parseCell(const std::string &cell, std::size_t line_number)
+[[noreturn]] void
+throwAtLine(std::size_t line_number, const std::string &what)
 {
-    double value = 0.0;
-    const char *begin = cell.data();
-    const char *end = begin + cell.size();
-    const auto res = std::from_chars(begin, end, value);
-    if (res.ec != std::errc{} || res.ptr != end)
-        throw std::runtime_error("trajectory CSV line " +
-                                 std::to_string(line_number) +
-                                 ": non-numeric cell '" + cell + "'");
-    return value;
+    throw std::runtime_error("trajectory CSV line " +
+                             std::to_string(line_number) + ": " + what);
 }
 
-/** In-flight state of one CSV trajectory block. */
-struct BlockState
+/**
+ * Throw for a data row that failed to parse at `cell`. A row of the
+ * wrong width reports its width, whatever cell failed first, so an
+ * empty trailing cell reads as one cell too many.
+ */
+[[noreturn]] void
+throwBadRow(std::string_view line, const char *cell, std::size_t columns,
+            std::size_t line_number)
 {
-    std::string env, agent, hp;
-    std::size_t actionDims = 0;
-    std::size_t columns = 0;
-    bool headerSeen = false;
-    std::vector<std::vector<double>> rows;
-    bool any = false;  ///< block has produced at least one line
-
-    TrajectoryLog finalize(std::size_t line_number) const
-    {
-        TrajectoryLog log(env, agent, hp);
-        if (rows.empty())
-            return log;
-        // writeCsv stamps the action/observation split into the header;
-        // for foreign CSVs without the hint, fall back to assuming
-        // three trailing metric columns plus the reward.
-        const std::size_t total = rows.front().size();
-        std::size_t dims = actionDims;
-        if (actionDims >= total && actionDims != 0)
-            throw std::runtime_error(
-                "trajectory CSV line " + std::to_string(line_number) +
-                ": action_dims=" + std::to_string(actionDims) +
-                " not smaller than column count " + std::to_string(total));
-        if (dims == 0)
-            dims = total > 4 ? total - 4 : total - 1;
-        for (const auto &row : rows) {
-            Transition t;
-            t.action.assign(row.begin(),
-                            row.begin() +
-                                static_cast<std::ptrdiff_t>(dims));
-            t.observation.assign(
-                row.begin() + static_cast<std::ptrdiff_t>(dims),
-                row.end() - 1);
-            t.reward = row.back();
-            log.append(std::move(t));
-        }
-        return log;
-    }
-};
+    const std::size_t cells =
+        static_cast<std::size_t>(std::count(line.begin(), line.end(), ',')) +
+        1;
+    if (cells != columns)
+        throwAtLine(line_number, "expected " + std::to_string(columns) +
+                                     " cells (from header), got " +
+                                     std::to_string(cells));
+    const char *const end = line.data() + line.size();
+    throwAtLine(line_number, "non-numeric cell '" +
+                                 std::string(cell, std::find(cell, end, ',')) +
+                                 "'");
+}
 
 } // namespace
 
@@ -128,10 +141,39 @@ std::vector<TrajectoryLog>
 TrajectoryLog::readCsvAll(std::istream &is)
 {
     std::vector<TrajectoryLog> logs;
-    BlockState block;
+    // The block in hand: its metadata, the `action_dims` hint, the
+    // column count its header row fixed, and its rows, parsed row-major
+    // into one scratch buffer that every block reuses.
+    TrajectoryLog block;
+    std::size_t actionDimsHint = 0, columns = 0;
+    bool started = false, headerSeen = false;
+    std::vector<double> rows;
+    const auto finishBlock = [&](std::size_t line_number) {
+        if (!rows.empty()) {
+            // writeCsv stamps the action/observation split into the
+            // header; for foreign CSVs without the hint, fall back to
+            // assuming three trailing metric columns plus the reward.
+            if (actionDimsHint >= columns && actionDimsHint != 0)
+                throwAtLine(line_number,
+                            "action_dims=" + std::to_string(actionDimsHint) +
+                                " not smaller than column count " +
+                                std::to_string(columns));
+            std::size_t dims = actionDimsHint;
+            if (dims == 0)
+                dims = columns > 4 ? columns - 4 : columns - 1;
+            block.actionDims_ = dims;
+            block.metricDims_ = columns - dims - 1;
+            block.values_ = std::vector<double>(rows.begin(), rows.end());
+            rows.clear();
+        }
+        logs.push_back(std::move(block));
+        block = TrajectoryLog();
+        actionDimsHint = columns = 0;
+        started = headerSeen = false;
+    };
+
     std::string line;
     std::size_t lineNumber = 0;
-
     while (std::getline(is, line)) {
         ++lineNumber;
         // Tolerate CRLF files: getline leaves the '\r', which would
@@ -141,73 +183,67 @@ TrajectoryLog::readCsvAll(std::istream &is)
         if (line.empty())
             continue;
         if (line[0] == '#') {
-            if (auto v = commentValue(line, "env"); !v.empty()) {
-                // A fresh `# env=` after this block's header row starts
-                // the next trajectory of a multi-block (shard) CSV.
-                if (block.headerSeen) {
-                    logs.push_back(block.finalize(lineNumber));
-                    block = BlockState{};
-                }
-                block.env = v;
-                block.any = true;
-            } else if (auto a = commentValue(line, "agent"); !a.empty()) {
-                block.agent = a;
-                block.any = true;
-            } else if (auto h = commentValue(line, "hyperparams");
-                       !h.empty()) {
-                block.hp = h;
-                block.any = true;
-            } else if (auto d = commentValue(line, "action_dims");
-                       !d.empty()) {
-                std::size_t dims = 0;
+            std::string_view v;
+            if (commentValue(line, "# env=", v)) {
+                // An `# env=` after this block's header row starts the
+                // next trajectory of a multi-block (shard) CSV.
+                if (headerSeen)
+                    finishBlock(lineNumber);
+                block.envName_ = v;
+            } else if (commentValue(line, "# agent=", v)) {
+                block.agentName_ = v;
+            } else if (commentValue(line, "# hyperparams=", v)) {
+                block.hyperParams_ = v;
+            } else if (commentValue(line, "# action_dims=", v)) {
                 const auto res = std::from_chars(
-                    d.data(), d.data() + d.size(), dims);
-                if (res.ec != std::errc{} ||
-                    res.ptr != d.data() + d.size())
-                    throw std::runtime_error(
-                        "trajectory CSV line " +
-                        std::to_string(lineNumber) +
-                        ": bad action_dims '" + d + "'");
-                block.actionDims = dims;
-                block.any = true;
+                    v.data(), v.data() + v.size(), actionDimsHint);
+                if (res.ec != std::errc{} || res.ptr != v.data() + v.size())
+                    throwAtLine(lineNumber,
+                                "bad action_dims '" + std::string(v) + "'");
+            } else {
+                continue;  // other comments carry nothing the log keeps
             }
+            started = true;
             continue;
         }
-        if (!block.headerSeen) {
+        started = true;
+        if (!headerSeen) {
             // Header: param names, metric names, then "reward". Only the
             // column count is needed here; action_dims splits the row.
-            block.headerSeen = true;
-            block.any = true;
-            block.columns = static_cast<std::size_t>(std::count(
-                                line.begin(), line.end(), ',')) +
-                            1;
+            headerSeen = true;
+            columns = static_cast<std::size_t>(
+                          std::count(line.begin(), line.end(), ',')) +
+                      1;
             continue;
         }
-        std::vector<double> row;
-        row.reserve(block.columns);
-        std::stringstream ss(line);
-        std::string cell;
-        while (std::getline(ss, cell, ','))
-            row.push_back(parseCell(cell, lineNumber));
-        if (row.size() != block.columns)
-            throw std::runtime_error(
-                "trajectory CSV line " + std::to_string(lineNumber) +
-                ": expected " + std::to_string(block.columns) +
-                " cells (from header), got " +
-                std::to_string(row.size()));
-        block.any = true;
-        block.rows.push_back(std::move(row));
+        // from_chars stops at the comma that ends a well-formed cell (no
+        // number syntax contains one), so a cell is whole when it stops
+        // at a comma, or at the line's end for the last cell.
+        const char *p = line.data();
+        const char *const end = p + line.size();
+        for (std::size_t c = 0;; ++c) {
+            double value = 0.0;
+            const auto res = std::from_chars(p, end, value);
+            const bool last = c + 1 == columns;
+            if (res.ec != std::errc{} ||
+                (last ? res.ptr != end : res.ptr == end || *res.ptr != ','))
+                throwBadRow(line, p, columns, lineNumber);
+            rows.push_back(value);
+            if (last)
+                break;
+            p = res.ptr + 1;
+        }
     }
-    if (block.any)
-        logs.push_back(block.finalize(lineNumber + 1));
+    if (started)
+        finishBlock(lineNumber + 1);
     return logs;
 }
 
 TrajectoryLog
 TrajectoryLog::readCsv(std::istream &is)
 {
-    const auto logs = readCsvAll(is);
-    return logs.empty() ? TrajectoryLog() : logs.front();
+    auto logs = readCsvAll(is);
+    return logs.empty() ? TrajectoryLog() : std::move(logs.front());
 }
 
 std::size_t
@@ -234,8 +270,8 @@ Dataset::flatten() const
     std::vector<Transition> out;
     out.reserve(transitionCount());
     for (const auto &log : logs_)
-        for (const auto &t : log.transitions())
-            out.push_back(t);
+        for (std::size_t i = 0; i < log.size(); ++i)
+            out.push_back(log[i]);
     return out;
 }
 
@@ -246,8 +282,8 @@ Dataset::flattenAgent(const std::string &agent) const
     for (const auto &log : logs_) {
         if (log.agentName() != agent)
             continue;
-        for (const auto &t : log.transitions())
-            out.push_back(t);
+        for (std::size_t i = 0; i < log.size(); ++i)
+            out.push_back(log[i]);
     }
     return out;
 }
@@ -287,9 +323,14 @@ Dataset::saveDirectory(const std::string &directory,
 {
     namespace fs = std::filesystem;
     fs::create_directories(directory);
+    // Pad every index to the last one's digit count: unequal widths
+    // would sort 1000_ before 100_ and reload the logs out of order.
+    const int digits = std::max<int>(
+        3, static_cast<int>(
+               std::to_string(logs_.empty() ? 0 : logs_.size() - 1).size()));
     for (std::size_t i = 0; i < logs_.size(); ++i) {
         std::ostringstream name;
-        name << std::setw(3) << std::setfill('0') << i << "_"
+        name << std::setw(digits) << std::setfill('0') << i << "_"
              << logs_[i].agentName() << ".csv";
         std::ostringstream csv;
         logs_[i].writeCsv(csv, space, metric_names);

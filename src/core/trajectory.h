@@ -24,9 +24,29 @@
  * action columns and the metric columns (readers fall back to assuming
  * three metrics + reward only for foreign CSVs without the hint).
  * Doubles are written in shortest round-trip form (std::to_chars), so a
- * CSV round trip is value-exact. A file may hold many blocks back to
- * back — each `# env=` line after a header row starts a new trajectory —
- * which is how a shard CSV holds one block per run.
+ * CSV round trip is bit-exact (NaNs come back as the default quiet NaN
+ * of their sign). A file may hold many blocks back to back — each
+ * `# env=` line after a header row, whatever its value, starts a new
+ * trajectory — which is how a shard CSV holds one block per run.
+ *
+ * ## In-memory layout and the reader
+ *
+ * A TrajectoryLog holds its transitions as one row-major block of
+ * doubles: each row is the action values, then the metric values, then
+ * the reward, and the first row fixes both widths for the whole log. A
+ * transition therefore costs 8 bytes per value and nothing else: 96 B
+ * for a 12-column FARSI row, about half of the ~186 B that a Transition
+ * with its two heap vectors takes. row(i) views a row in place;
+ * operator[] and toTransitions() copy rows out into the Transition
+ * shape that agents, pareto and proxy training consume.
+ *
+ * readCsvAll reads line by line into one reused buffer and parses each
+ * data row's cells with std::from_chars straight into a scratch block
+ * that is reused across trajectories; each trajectory then gets an
+ * exact-size copy of its rows, so a reloaded dataset keeps no capacity
+ * slack. A row must have exactly the header row's cell count (an empty
+ * cell counts, so `1,2,3,4,` under a 4-column header is a 5-cell row)
+ * and every cell must parse whole (no spaces, no hex).
  *
  * ## Shard / manifest layout and the resume contract
  *
@@ -91,6 +111,7 @@
 #include <functional>
 #include <iosfwd>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -112,7 +133,8 @@ struct Transition
 
 /**
  * Ordered record of one search run: metadata (which agent, which
- * environment, which hyperparameters) plus all transitions.
+ * environment, which hyperparameters) plus all transitions, stored as
+ * one row-major block of doubles (see the file header).
  */
 class TrajectoryLog
 {
@@ -128,18 +150,43 @@ class TrajectoryLog
     const std::string &agentName() const { return agentName_; }
     const std::string &hyperParams() const { return hyperParams_; }
 
-    void append(Transition t) { transitions_.push_back(std::move(t)); }
+    /**
+     * Append one transition as a row. The first row fixes the action
+     * and metric widths; a row of other widths throws
+     * std::invalid_argument naming both.
+     */
+    void append(std::span<const double> action,
+                std::span<const double> observation, double reward);
+    void append(const Transition &t)
+    {
+        append(t.action, t.observation, t.reward);
+    }
 
-    std::size_t size() const { return transitions_.size(); }
-    bool empty() const { return transitions_.empty(); }
-    const Transition &operator[](std::size_t i) const
+    /** Room for `rows` rows of the width the first row fixed (no-op
+     *  before the first row). */
+    void reserve(std::size_t rows)
     {
-        return transitions_[i];
+        if (!values_.empty())
+            values_.reserve(rows * rowWidth());
     }
-    const std::vector<Transition> &transitions() const
+
+    std::size_t size() const { return values_.size() / rowWidth(); }
+    bool empty() const { return values_.empty(); }
+    std::size_t actionDims() const { return actionDims_; }
+    std::size_t metricDims() const { return metricDims_; }
+
+    /** Row i in place: actionDims() action values, metricDims()
+     *  metric values, then the reward. */
+    std::span<const double> row(std::size_t i) const
     {
-        return transitions_;
+        return {values_.data() + i * rowWidth(), rowWidth()};
     }
+
+    /** Row i copied out as a Transition. */
+    Transition operator[](std::size_t i) const;
+
+    /** Every row copied out as a Transition, in order. */
+    std::vector<Transition> toTransitions() const;
 
     /**
      * CSV serialization: one block of the schema documented in the file
@@ -155,7 +202,7 @@ class TrajectoryLog
      * Malformed input throws std::runtime_error with a 1-based line
      * number: a data row whose cell count differs from the header row's,
      * a non-numeric (or partially numeric) cell, or an `action_dims`
-     * hint that is not smaller than the column count.
+     * hint that is not a number smaller than the column count.
      */
     static TrajectoryLog readCsv(std::istream &is);
 
@@ -163,10 +210,14 @@ class TrajectoryLog
     static std::vector<TrajectoryLog> readCsvAll(std::istream &is);
 
   private:
+    std::size_t rowWidth() const { return actionDims_ + metricDims_ + 1; }
+
     std::string envName_;
     std::string agentName_;
     std::string hyperParams_;
-    std::vector<Transition> transitions_;
+    std::size_t actionDims_ = 0;
+    std::size_t metricDims_ = 0;
+    std::vector<double> values_;  ///< row-major, rowWidth() per row
 };
 
 /**
@@ -209,7 +260,9 @@ class Dataset
     /**
      * Persist every trajectory as one CSV per log under `directory`
      * (created if absent) — the shareable-artifact side of §3.4. Files
-     * are named NNN_<agent>.csv.
+     * are named <index>_<agent>.csv, the index zero-padded to the digit
+     * count of the last one (at least 3), so loadDirectory's sorted
+     * walk reloads the logs in this order.
      */
     void saveDirectory(const std::string &directory,
                        const ParamSpace &space,

@@ -202,8 +202,8 @@ expectBatchedRunMatchesPerStep(const std::string &agentName,
     EXPECT_EQ(got.bestAction, expected.bestAction) << what;
     ASSERT_EQ(got.trajectory.size(), expected.trajectory.size()) << what;
     for (std::size_t i = 0; i < got.trajectory.size(); ++i) {
-        EXPECT_EQ(got.trajectory.transitions()[i].action,
-                  expected.trajectory.transitions()[i].action)
+        EXPECT_EQ(got.trajectory[i].action,
+                  expected.trajectory[i].action)
             << what << " sample " << i;
     }
 }

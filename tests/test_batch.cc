@@ -295,8 +295,8 @@ TEST(BatchDriver, GaSearchOnDramGymBitIdenticalToPerStep)
         EXPECT_EQ(got.bestSampleIndex, expected.bestSampleIndex);
         ASSERT_EQ(got.trajectory.size(), expected.trajectory.size());
         for (std::size_t i = 0; i < got.trajectory.size(); ++i) {
-            EXPECT_EQ(got.trajectory.transitions()[i].action,
-                      expected.trajectory.transitions()[i].action)
+            EXPECT_EQ(got.trajectory[i].action,
+                      expected.trajectory[i].action)
                 << "workers=" << workers << " i=" << i;
         }
     }
@@ -346,8 +346,8 @@ TEST(BatchDriver, BoAndRlSearchOnFarsiGymBitIdenticalToPerStep)
             ASSERT_EQ(got.trajectory.size(), expected.trajectory.size())
                 << what;
             for (std::size_t i = 0; i < got.trajectory.size(); ++i) {
-                EXPECT_EQ(got.trajectory.transitions()[i].action,
-                          expected.trajectory.transitions()[i].action)
+                EXPECT_EQ(got.trajectory[i].action,
+                          expected.trajectory[i].action)
                     << what << " i=" << i;
             }
         }
@@ -399,8 +399,8 @@ TEST(BatchDriver, BoCohortSearchBitIdenticalAcrossWorkerCounts)
             ASSERT_EQ(got.trajectory.size(), expected.trajectory.size())
                 << what;
             for (std::size_t i = 0; i < got.trajectory.size(); ++i) {
-                EXPECT_EQ(got.trajectory.transitions()[i].action,
-                          expected.trajectory.transitions()[i].action)
+                EXPECT_EQ(got.trajectory[i].action,
+                          expected.trajectory[i].action)
                     << what << " i=" << i;
             }
         }

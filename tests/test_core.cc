@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cerrno>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -402,6 +405,46 @@ TEST(Dataset, DirectoryRoundTrip)
     EXPECT_DOUBLE_EQ(back.log(0)[3].reward, ds.log(0)[3].reward);
 }
 
+TEST(Dataset, DirectoryRoundTripKeepsOrderPastAThousandLogs)
+{
+    // Regression: indices were padded to 3 digits, so 1000_A.csv sorted
+    // before 100_A.csv and a reloaded dataset of more than 1,000 logs
+    // came back reordered, drawing other seeded samples.
+    namespace fs = std::filesystem;
+    ParamSpace space;
+    space.add(ParamDesc::integer("x", 0, 9));
+    Dataset ds;
+    for (int k = 0; k < 1002; ++k) {
+        TrajectoryLog log("Env", "A", "run=" + std::to_string(k));
+        log.append(Transition{{static_cast<double>(k)}, {2.0 * k}, 0.5});
+        ds.add(std::move(log));
+    }
+    const std::string dir = ::testing::TempDir() + "/archgym_ds_1002";
+    fs::remove_all(dir);
+    ds.saveDirectory(dir, space, {"m"});
+    EXPECT_TRUE(fs::exists(fs::path(dir) / "0000_A.csv"));
+    EXPECT_TRUE(fs::exists(fs::path(dir) / "1001_A.csv"));
+
+    const Dataset back = Dataset::loadDirectory(dir);
+    ASSERT_EQ(back.logCount(), ds.logCount());
+    for (std::size_t k = 0; k < ds.logCount(); ++k)
+        ASSERT_EQ(back.log(k).hyperParams(), ds.log(k).hyperParams());
+    Rng rngA(5), rngB(5);
+    const auto drawA = ds.sample(64, rngA);
+    const auto drawB = back.sample(64, rngB);
+    ASSERT_EQ(drawA.size(), drawB.size());
+    for (std::size_t i = 0; i < drawA.size(); ++i)
+        EXPECT_EQ(drawA[i].action, drawB[i].action) << i;
+    fs::remove_all(dir);
+
+    // Up to 1,000 logs the names keep their 3 digits.
+    const std::string small = ::testing::TempDir() + "/archgym_ds_3";
+    fs::remove_all(small);
+    makeDataset().saveDirectory(small, space, {"m"});
+    EXPECT_TRUE(fs::exists(fs::path(small) / "002_RW.csv"));
+    fs::remove_all(small);
+}
+
 TEST(Dataset, FourMetricCsvRoundTripsViaActionDimsHint)
 {
     // MaestroGym-shaped logs (4 metrics) need the explicit action_dims
@@ -540,6 +583,180 @@ TEST(TrajectoryLog, ReadCsvAllSplitsMultiBlockFiles)
         ASSERT_EQ(logs[b].size(), static_cast<std::size_t>(b + 1));
         EXPECT_EQ(logs[b][b].observation,
                   (Metrics{static_cast<double>(10 * b + b)}));
+    }
+}
+
+TEST(TrajectoryLog, ReadCsvRejectsAnEmptyTrailingCell)
+{
+    // Regression: the row reader dropped an empty last cell, so
+    // `1,2,3,4,` under a 4-column header read as a valid 4-cell row.
+    std::stringstream ss("# env=E\n# action_dims=2\n"
+                         "x,y,m,reward\n"
+                         "1,2,3,4\n"
+                         "1,2,3,4,\n");
+    try {
+        TrajectoryLog::readCsv(ss);
+        FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("line 5"), std::string::npos) << what;
+        EXPECT_NE(what.find("expected 4 cells (from header), got 5"),
+                  std::string::npos)
+            << what;
+    }
+}
+
+TEST(TrajectoryLog, EmptyEnvNameStillStartsANewBlock)
+{
+    // Regression: an `# env=` line with an empty value was ignored, so
+    // the second block's header row was parsed as data.
+    ParamSpace space;
+    space.add(ParamDesc::integer("x", 0, 9));
+    std::stringstream ss;
+    for (int b = 0; b < 2; ++b) {
+        TrajectoryLog log("", "", "");
+        log.append(Transition{{static_cast<double>(b)}, {2.0 * b}, 0.5});
+        log.writeCsv(ss, space, {"m"});
+    }
+    const auto logs = TrajectoryLog::readCsvAll(ss);
+    ASSERT_EQ(logs.size(), 2u);
+    for (int b = 0; b < 2; ++b) {
+        EXPECT_EQ(logs[b].envName(), "");
+        ASSERT_EQ(logs[b].size(), 1u);
+        EXPECT_EQ(logs[b][0].action, (Action{static_cast<double>(b)}));
+        EXPECT_EQ(logs[b][0].observation, (Metrics{2.0 * b}));
+    }
+}
+
+TEST(TrajectoryLog, AppendRejectsARowOfAnotherWidth)
+{
+    TrajectoryLog log("Env", "A", "");
+    log.append(Transition{{1.0, 2.0}, {3.0, 4.0, 5.0}, 0.5});
+    for (const Transition &bad :
+         {Transition{{1.0}, {3.0, 4.0, 5.0}, 0.5},
+          Transition{{1.0, 2.0}, {3.0, 4.0}, 0.5}}) {
+        try {
+            log.append(bad);
+            FAIL() << "a row of another width was appended";
+        } catch (const std::invalid_argument &e) {
+            const std::string what = e.what();
+            const std::string got = std::to_string(bad.action.size()) +
+                                    " action + " +
+                                    std::to_string(bad.observation.size());
+            EXPECT_NE(what.find(got), std::string::npos) << what;
+            EXPECT_NE(what.find("have 2 + 3"), std::string::npos) << what;
+        }
+    }
+    ASSERT_EQ(log.size(), 1u);
+    EXPECT_EQ(log.actionDims(), 2u);
+    EXPECT_EQ(log.metricDims(), 3u);
+    const std::vector<double> row(log.row(0).begin(), log.row(0).end());
+    EXPECT_EQ(row, (std::vector<double>{1.0, 2.0, 3.0, 4.0, 5.0, 0.5}));
+}
+
+/** A double for the round-trip property: edge values or random bits. */
+double
+roundTripValue(Rng &rng)
+{
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+    constexpr double kEdges[] = {
+        0.0,     -0.0,    std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        2.5e-310, -3.3e-315, kInf, -kInf, kNan, -kNan, 1e308, -1e308,
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::min(), 0.1, -7.0};
+    if (rng.below(3) == 0)
+        return kEdges[rng.below(std::size(kEdges))];
+    // Text carries a NaN's sign but not its payload.
+    const double v = std::bit_cast<double>(rng());
+    return std::isnan(v) ? std::copysign(kNan, v) : v;
+}
+
+/** Expect `back` to hold `logs` field for field and bit for bit. */
+void
+expectBitIdenticalLogs(const std::vector<TrajectoryLog> &back,
+                       const std::vector<TrajectoryLog> &logs,
+                       const std::string &what)
+{
+    ASSERT_EQ(back.size(), logs.size()) << what;
+    for (std::size_t k = 0; k < logs.size(); ++k) {
+        const std::string where = what + " log " + std::to_string(k);
+        EXPECT_EQ(back[k].envName(), logs[k].envName()) << where;
+        EXPECT_EQ(back[k].agentName(), logs[k].agentName()) << where;
+        EXPECT_EQ(back[k].hyperParams(), logs[k].hyperParams()) << where;
+        ASSERT_EQ(back[k].size(), logs[k].size()) << where;
+        EXPECT_EQ(back[k].actionDims(), logs[k].actionDims()) << where;
+        EXPECT_EQ(back[k].metricDims(), logs[k].metricDims()) << where;
+        for (std::size_t i = 0; i < logs[k].size(); ++i) {
+            const auto got = back[k].row(i), want = logs[k].row(i);
+            ASSERT_EQ(got.size(), want.size()) << where;
+            for (std::size_t c = 0; c < want.size(); ++c)
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(got[c]),
+                          std::bit_cast<std::uint64_t>(want[c]))
+                    << where << " row " << i << " cell " << c;
+        }
+    }
+}
+
+TEST(TrajectoryLog, RandomMultiBlockStreamsRoundTripBitExact)
+{
+    // Property: any stream of writeCsv blocks (widths differing from
+    // log to log, empty names and empty logs included) reads back as
+    // the same logs, bit for bit, with LF and with CRLF line endings.
+    Rng rng(2306);
+    const std::string nameChars = "abcXYZ019 =,;._-";
+    const auto randomName = [&] {
+        std::string s(rng.below(6), ' ');
+        for (char &c : s)
+            c = nameChars[rng.below(nameChars.size())];
+        return s;
+    };
+    const auto columnName = [](char prefix, std::size_t i) {
+        std::string s(1, prefix);
+        s += std::to_string(i);
+        return s;
+    };
+    for (int stream = 0; stream < 150; ++stream) {
+        std::vector<TrajectoryLog> logs;
+        std::stringstream csv;
+        const std::size_t blocks = 1 + rng.below(5);
+        for (std::size_t k = 0; k < blocks; ++k) {
+            ParamSpace space;
+            const std::size_t actionDims = 1 + rng.below(4);
+            for (std::size_t d = 0; d < actionDims; ++d)
+                space.add(ParamDesc::integer(columnName('p', d), 0, 9));
+            std::vector<std::string> metrics(rng.below(5));
+            for (std::size_t m = 0; m < metrics.size(); ++m)
+                metrics[m] = columnName('m', m);
+            TrajectoryLog log(randomName(), randomName(), randomName());
+            const std::size_t rows = rng.below(7);
+            for (std::size_t i = 0; i < rows; ++i) {
+                Transition t;
+                for (std::size_t d = 0; d < actionDims; ++d)
+                    t.action.push_back(roundTripValue(rng));
+                for (std::size_t m = 0; m < metrics.size(); ++m)
+                    t.observation.push_back(roundTripValue(rng));
+                t.reward = roundTripValue(rng);
+                log.append(t);
+            }
+            log.writeCsv(csv, space, metrics);
+            logs.push_back(std::move(log));
+        }
+        const std::string lf = csv.str();
+        const std::string what = "stream " + std::to_string(stream);
+        expectBitIdenticalLogs(TrajectoryLog::readCsvAll(csv), logs,
+                               what + " (LF)");
+
+        std::string crlf;
+        for (const char c : lf) {
+            if (c == '\n')
+                crlf += '\r';
+            crlf += c;
+        }
+        std::stringstream crlfStream(crlf);
+        expectBitIdenticalLogs(TrajectoryLog::readCsvAll(crlfStream), logs,
+                               what + " (CRLF)");
     }
 }
 

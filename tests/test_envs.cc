@@ -104,7 +104,7 @@ TEST_P(AllEnvs, TrajectoryLoggingProducesDataset)
     const RunResult r = runSearch(*env, *agent, cfg);
     EXPECT_EQ(r.trajectory.size(), 25u);
     EXPECT_EQ(r.trajectory.envName(), env->name());
-    for (const auto &t : r.trajectory.transitions())
+    for (const auto &t : r.trajectory.toTransitions())
         EXPECT_EQ(t.observation.size(), env->metricNames().size());
 }
 

@@ -435,7 +435,7 @@ TEST(ParetoIntegration, TimeloopTrajectoryYieldsTradeOffFront)
 
     // latency (0) and energy (1), both minimized.
     const auto front =
-        paretoFront(r.trajectory.transitions(), {0, 1}, kMinMin);
+        paretoFront(r.trajectory.toTransitions(), {0, 1}, kMinMin);
     ASSERT_GE(front.size(), 2u);  // a genuine trade-off exists
     // Walking the front in latency order, energy must strictly decrease.
     for (std::size_t i = 1; i < front.size(); ++i) {

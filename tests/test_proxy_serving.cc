@@ -149,8 +149,8 @@ TEST(Columnar, ToDatasetRestoresTrajectoryStructure)
         EXPECT_EQ(round.log(i).agentName(), reference.log(i).agentName());
         EXPECT_EQ(round.log(i).hyperParams(),
                   reference.log(i).hyperParams());
-        expectSameTransitions(round.log(i).transitions(),
-                              reference.log(i).transitions());
+        expectSameTransitions(round.log(i).toTransitions(),
+                              reference.log(i).toTransitions());
     }
 }
 
@@ -372,7 +372,7 @@ TEST(ProxyCostModel, PredictBatchColumnMajorMatchesScalarPredict)
     const auto logs = syntheticLogs(space, {64, 64});
     std::vector<Transition> train;
     for (const auto &log : logs)
-        for (const auto &t : log.transitions())
+        for (const auto &t : log.toTransitions())
             train.push_back(t);
 
     ForestConfig cfg;
