@@ -31,9 +31,9 @@ main()
     DramGymEnv env = makeProxyEnv();
     // Pool: 4 agents x 4 hyperparameter runs x 450 samples each,
     // collected through the sharded sweep engine — trajectories stream
-    // into per-shard CSVs as runs complete, are converted to the
-    // columnar row-group format, and the proxy trains from the
-    // index-backed reader: the §3.4 artifact flow end to end.
+    // into per-shard CSVs as runs complete, and the proxy trains from
+    // those CSVs reloaded through Dataset::loadDirectory: the §3.4
+    // artifact flow end to end.
     const std::string shardDir =
         (std::filesystem::temp_directory_path() / "archgym_fig10_shards")
             .string();

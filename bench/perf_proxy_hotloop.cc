@@ -3,22 +3,16 @@
  * Perf tracking for the proxy serving path (docs/proxy_serving.md): the
  * hot loops a proxy-guided lottery actually spends time in.
  *
- * Four sections:
+ * Three sections:
  *
  *  - ingest: transitions/sec of reading one synthetic trajectory pool
- *    back from disk, columnar row-group pair vs the reference per-shard
- *    CSVs — the fixed-width memcpy decode vs shortest-round-trip text
- *    parsing.
+ *    back from its CSV through Dataset::loadDirectory, the reader
+ *    every dataset consumer (summary, proxy training) goes through.
  *
  *  - predict: predictions/sec of RandomForest::predictBatch (the SoA
  *    arena kernel) vs a loop of scalar predict() calls on the same
- *    forest, at cohort sizes 64 / 1024 / 65536. The ISSUE target is
- *    >= 5x batched-vs-scalar on the larger cohorts.
- *
- *  - minibatch: draws/sec of ColumnarDatasetReader::sampleMinibatch
- *    (256 rows without replacement) at growing dataset sizes — the
- *    sparse Fisher-Yates draw plus row-group gather must stay flat in
- *    rowCount(), which the flatness ratio at the end asserts.
+ *    forest, at cohort sizes 64 / 1024 / 65536. The target is >= 5x
+ *    batched-vs-scalar on the larger cohorts.
  *
  *  - screen: end-to-end wall-clock of a proxy-screened DRAMGym lottery
  *    (pilot + screen + top-K frontier) vs simulating every config
@@ -40,7 +34,6 @@
 #include <vector>
 
 #include "agents/registry.h"
-#include "core/columnar.h"
 #include "core/driver.h"
 #include "core/trajectory.h"
 #include "envs/dram_gym_env.h"
@@ -115,28 +108,16 @@ syntheticPool(const ParamSpace &space, std::size_t runs,
 
 const std::vector<std::string> kMetricNames = {"m_lat", "m_pow", "m_en"};
 
-/** Write the pool both ways under dir; returns the columnar stem. */
-std::string
-writePoolBothWays(const std::string &dir, const ParamSpace &space,
-                  const std::vector<TrajectoryLog> &logs,
-                  std::size_t rows_per_group = 1024)
+/** Write the pool as one multi-block CSV under a fresh dir. */
+void
+writePool(const std::string &dir, const ParamSpace &space,
+          const std::vector<TrajectoryLog> &logs)
 {
     fs::remove_all(dir);
     fs::create_directories(dir);
-    {
-        std::ofstream csv(fs::path(dir) / "pool.csv", std::ios::binary);
-        for (const auto &log : logs)
-            log.writeCsv(csv, space, kMetricNames);
-    }
-    const std::string stem = (fs::path(dir) / "pool").string();
-    {
-        ColumnarDatasetWriter col(stem, space, kMetricNames,
-                                  rows_per_group);
-        for (const auto &log : logs)
-            col.append(log);
-        col.close();
-    }
-    return stem;
+    std::ofstream csv(fs::path(dir) / "pool.csv", std::ios::binary);
+    for (const auto &log : logs)
+        log.writeCsv(csv, space, kMetricNames);
 }
 
 } // namespace
@@ -149,30 +130,20 @@ main()
     const std::string workDir =
         (fs::temp_directory_path() / "archgym_proxy_hotloop").string();
 
-    // --- Ingest: columnar pair vs reference CSV -----------------------
+    // --- Ingest: the shard-CSV reader --------------------------------
     Rng poolRng(401);
     const auto logs = syntheticPool(space, 64, 512, poolRng);
     const std::size_t poolRows = 64 * 512;
-    const std::string stem =
-        writePoolBothWays(workDir, space, logs);
+    writePool(workDir, space, logs);
 
     const double csvSweepsPerSec = callsPerSecond([&] {
         const Dataset d = Dataset::loadDirectory(workDir);
         guard += static_cast<double>(d.transitionCount());
     });
-    const double colSweepsPerSec = callsPerSecond([&] {
-        const auto transitions =
-            ColumnarDatasetReader::open(stem).loadAllTransitions();
-        guard += transitions.back().reward;
-    });
     const double csvRowsPerSec =
         csvSweepsPerSec * static_cast<double>(poolRows);
-    const double columnarRowsPerSec =
-        colSweepsPerSec * static_cast<double>(poolRows);
     std::printf("Dataset ingest, %zu transitions (rows/sec)\n", poolRows);
-    std::printf("%-10s %14.0f\n%-10s %14.0f\n%-10s %13.2fx\n", "columnar",
-                columnarRowsPerSec, "csv", csvRowsPerSec, "speedup",
-                columnarRowsPerSec / csvRowsPerSec);
+    std::printf("%-10s %14.0f\n", "csv", csvRowsPerSec);
 
     // --- Forest predict: SoA batched kernel vs scalar oracle ----------
     RandomForest forest(ForestConfig{});
@@ -224,47 +195,6 @@ main()
                     c.batchedPerSec, c.scalarPerSec, c.speedup());
         cohorts.push_back(c);
     }
-
-    // --- Minibatch sampling: flat in dataset size ---------------------
-    struct MinibatchResult
-    {
-        std::size_t rows;
-        double drawsPerSec = 0.0;
-    };
-    std::vector<MinibatchResult> minibatches;
-    // A 64-row draw over 16-row groups touches at most 64 groups, so
-    // once the dataset holds a few hundred groups the per-draw cost is
-    // capped by the minibatch, not the dataset — the flatness ratio at
-    // the end (largest vs middle size, both past saturation) is the
-    // regression-tracked claim.
-    std::printf("\nColumnar minibatch (64 rows w/o replacement, 16-row "
-                "groups, draws/sec)\n");
-    std::printf("%-10s %14s\n", "dataset", "draws/s");
-    for (const std::size_t runs : {32u, 128u, 512u}) {
-        const std::string dir = workDir + "_mb" + std::to_string(runs);
-        Rng rng(404);
-        const auto pool = syntheticPool(space, runs, 128, rng);
-        const std::string mbStem =
-            writePoolBothWays(dir, space, pool, /*rows_per_group=*/16);
-        const auto reader = ColumnarDatasetReader::open(mbStem);
-        Rng draw(405);
-        MinibatchResult m;
-        m.rows = reader.rowCount();
-        m.drawsPerSec = callsPerSecond([&] {
-            const TransitionColumns cols =
-                reader.sampleMinibatch(64, draw);
-            guard += cols.rewards[0];
-        });
-        std::printf("%-10zu %14.1f\n", m.rows, m.drawsPerSec);
-        minibatches.push_back(m);
-        fs::remove_all(dir);
-    }
-    const double flatness =
-        minibatches[minibatches.size() - 2].drawsPerSec /
-        minibatches.back().drawsPerSec;
-    std::printf("flatness (4x dataset growth past saturation, "
-                "draws-per-sec ratio): %.2fx\n",
-                flatness);
 
     // --- Screen-then-simulate vs simulate-all -------------------------
     const std::string sweepDir = workDir + "_screen";
@@ -333,9 +263,7 @@ main()
 
     std::ostringstream json;
     json << "{\"bench\":\"proxy_hotloop\",\"ingest\":{\"config\":\"rows"
-         << poolRows << "\",\"columnarRowsPerSec\":" << columnarRowsPerSec
-         << ",\"csvRowsPerSec\":" << csvRowsPerSec
-         << ",\"speedup\":" << columnarRowsPerSec / csvRowsPerSec
+         << poolRows << "\",\"csvRowsPerSec\":" << csvRowsPerSec
          << "},\"predict\":[";
     for (std::size_t i = 0; i < cohorts.size(); ++i) {
         const CohortResult &c = cohorts[i];
@@ -345,14 +273,6 @@ main()
              << "\",\"batchedPredictionsPerSec\":" << c.batchedPerSec
              << ",\"scalarPredictionsPerSec\":" << c.scalarPerSec
              << ",\"speedup\":" << c.speedup() << "}";
-    }
-    json << "],\"minibatch\":[";
-    for (std::size_t i = 0; i < minibatches.size(); ++i) {
-        const MinibatchResult &m = minibatches[i];
-        if (i)
-            json << ",";
-        json << "{\"config\":\"rows" << m.rows
-             << "\",\"drawsPerSec\":" << m.drawsPerSec << "}";
     }
     json << "],\"screen\":{\"config\":\"configs" << lotterySize
          << "\",\"screenedConfigsPerSec\":" << screenConfigsPerSec

@@ -76,9 +76,6 @@
  *   --proxy-screen     enable proxy-screened sweep mode
  *   --screen-top-k K   screened configs promoted to simulation (def. 8)
  *   --pilot N          pilot configs simulated for training  (def. 16)
- *   --columnar         serve datasets through the columnar row-group
- *                      reader (proxy training data in screen mode, the
- *                      summary/pareto dataset in plain sweep mode)
  *
  * Trace tooling (docs/trace_workloads.md):
  *
@@ -99,7 +96,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -107,7 +103,6 @@
 #include <string>
 
 #include "agents/registry.h"
-#include "core/columnar.h"
 #include "core/driver.h"
 #include "core/pareto.h"
 #include "envs/dram_gym_env.h"
@@ -280,7 +275,6 @@ main(int argc, char **argv)
     bool proxyScreen = false;
     std::size_t screenTopK = 8;
     std::size_t pilotConfigs = 16;
-    bool columnar = false;
     std::string traceProfilePath;
     std::string tracePattern;
     std::string traceOut;
@@ -338,8 +332,6 @@ main(int argc, char **argv)
             screenTopK = std::stoul(next());
         else if (arg == "--pilot")
             pilotConfigs = std::stoul(next());
-        else if (arg == "--columnar")
-            columnar = true;
         else if (arg == "--trace-profile")
             traceProfilePath = next();
         else if (arg == "--trace-pattern")
@@ -507,17 +499,15 @@ main(int argc, char **argv)
             popts.objective = objective;
             popts.pilotConfigs = pilotConfigs;
             popts.screenTopK = screenTopK;
-            popts.columnar = columnar;
             popts.shardSize = shardSize;
             popts.numThreads = threads;
 
             std::printf("proxy-screened lottery: env=%s agent=%s "
                         "configs=%zu pilot=%zu top-k=%zu samples=%zu "
-                        "dir=%s (%s training reader)\n",
+                        "dir=%s\n",
                         envName.c_str(), agentName.c_str(), sweepConfigs,
                         pilotConfigs, screenTopK, samples,
-                        sweepDir.c_str(),
-                        columnar ? "columnar" : "CSV");
+                        sweepDir.c_str());
             ProxyScreenResult screen;
             try {
                 screen = runSweepProxyScreened(factory, agentName,
@@ -608,26 +598,10 @@ main(int argc, char **argv)
         std::printf("best reward per config: %s\n",
                     summarize(sweep.bestRewards).str().c_str());
 
-        Dataset dataset;
-        if (columnar) {
-            // Serve the summary through the columnar reader: convert
-            // the shard CSVs once (skipped when the index already
-            // exists) and re-ingest from the row-group pair.
-            const std::string stem =
-                (std::filesystem::path(sweepDir) / "columnar").string();
-            if (!std::filesystem::exists(
-                    ColumnarDatasetWriter::indexPath(stem)))
-                writeColumnarFromCsvDirectory(sweepDir, stem,
-                                              env->actionSpace(),
-                                              env->metricNames());
-            dataset = ColumnarDatasetReader::open(stem).toDataset();
-        } else {
-            dataset = Dataset::loadDirectory(sweepDir);
-        }
+        const Dataset dataset = Dataset::loadDirectory(sweepDir);
         std::printf("streamed dataset: %zu trajectories, %zu "
-                    "transitions (%s reader)\n",
-                    dataset.logCount(), dataset.transitionCount(),
-                    columnar ? "columnar" : "CSV");
+                    "transitions\n",
+                    dataset.logCount(), dataset.transitionCount());
         if (pareto)
             printParetoFront(dataset.flatten(), env->metricNames());
         return sweep.runsQuarantined > 0 ? 3 : 0;

@@ -2,8 +2,9 @@
  * @file
  * The library's one durable-write path. Every file the sweep engine
  * and the dataset writers produce — manifest, shard finals, partials,
- * quarantine ledger, leases, columnar pairs — reaches
- * the disk through a File handle, directly or via atomicWriteFile().
+ * quarantine ledger, leases, the proxy screen record, saved dataset
+ * CSVs — reaches the disk through a File handle, directly or via
+ * atomicWriteFile().
  * Nothing else in the library calls write(2) or opens an output
  * stream.
  *
@@ -107,8 +108,8 @@ void atomicWriteFile(const std::string &path, const std::string &bytes);
 
 /**
  * Whole-file binary read; a missing (or unopenable) file reads as "".
- * Shared by the manifest, lease and partial-file readers and the
- * columnar dataset index.
+ * Shared by the manifest, lease and quarantine-ledger readers, the
+ * proxy screen record and the stack-distance CDF loader.
  */
 std::string readFileIfExists(const std::string &path);
 

@@ -42,22 +42,27 @@ escape(const std::string &s)
     return out;
 }
 
+namespace {
+
+/** Position just past the first `"key":` in text; throws when absent. */
 std::size_t
 valuePos(const std::string &text, const std::string &key,
-         const std::string &context, std::size_t from)
+         const std::string &context)
 {
     const std::string needle = "\"" + key + "\":";
-    const auto pos = text.find(needle, from);
+    const auto pos = text.find(needle);
     if (pos == std::string::npos)
         throw std::runtime_error(context + ": missing key '" + key + "'");
     return pos + needle.size();
 }
 
+} // namespace
+
 double
 doubleField(const std::string &text, const std::string &key,
-            const std::string &context, std::size_t from)
+            const std::string &context)
 {
-    const std::size_t pos = valuePos(text, key, context, from);
+    const std::size_t pos = valuePos(text, key, context);
     double value = 0.0;
     const char *begin = text.data() + pos;
     const auto res =
@@ -70,9 +75,9 @@ doubleField(const std::string &text, const std::string &key,
 
 std::uint64_t
 uintField(const std::string &text, const std::string &key,
-          const std::string &context, std::size_t from)
+          const std::string &context)
 {
-    const std::size_t pos = valuePos(text, key, context, from);
+    const std::size_t pos = valuePos(text, key, context);
     std::uint64_t value = 0;
     const char *begin = text.data() + pos;
     const auto res =
@@ -158,9 +163,9 @@ decodeNumber(const std::string &text, std::size_t &pos,
 template <typename T, typename Decode>
 std::vector<T>
 arrayField(const std::string &text, const std::string &key,
-           const std::string &context, std::size_t from, Decode decode)
+           const std::string &context, Decode decode)
 {
-    std::size_t pos = valuePos(text, key, context, from);
+    std::size_t pos = valuePos(text, key, context);
     if (pos >= text.size() || text[pos] != '[')
         throw std::runtime_error(context + ": bad array for '" + key +
                                  "'");
@@ -181,33 +186,25 @@ arrayField(const std::string &text, const std::string &key,
 
 std::string
 stringField(const std::string &text, const std::string &key,
-            const std::string &context, std::size_t from)
+            const std::string &context)
 {
-    std::size_t pos = valuePos(text, key, context, from);
+    std::size_t pos = valuePos(text, key, context);
     return decodeString(text, pos, key, context);
 }
 
 std::vector<double>
 doubleArrayField(const std::string &text, const std::string &key,
-                 const std::string &context, std::size_t from)
+                 const std::string &context)
 {
-    return arrayField<double>(text, key, context, from,
-                              decodeNumber<double>);
+    return arrayField<double>(text, key, context, decodeNumber<double>);
 }
 
 std::vector<std::uint64_t>
 uintArrayField(const std::string &text, const std::string &key,
-               const std::string &context, std::size_t from)
+               const std::string &context)
 {
-    return arrayField<std::uint64_t>(text, key, context, from,
+    return arrayField<std::uint64_t>(text, key, context,
                                      decodeNumber<std::uint64_t>);
-}
-
-std::vector<std::string>
-stringArrayField(const std::string &text, const std::string &key,
-                 const std::string &context, std::size_t from)
-{
-    return arrayField<std::string>(text, key, context, from, decodeString);
 }
 
 } // namespace jsonio

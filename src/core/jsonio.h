@@ -1,8 +1,8 @@
 /**
  * @file
  * Minimal JSON rendering/scanning helpers shared by the on-disk
- * metadata writers (sweep manifest and result lines, columnar dataset
- * index, proxy screen record).
+ * metadata writers (sweep manifest and result lines, quarantine
+ * ledger, leases, proxy screen record, stack-distance CDF).
  *
  * These are deliberately NOT a general JSON library: the renderers
  * emit exactly the subset the readers accept, and the readers only
@@ -35,39 +35,30 @@ void appendDouble(std::string &out, double v);
  */
 std::string escape(const std::string &s);
 
-/**
- * Locate `"key":` in one of our own JSON documents starting at
- * `from` and return the position just past the colon. Throws with the
- * given context when the key is absent.
+/*
+ * Field readers: each finds the first `"key":` in one of our own JSON
+ * documents and decodes the value after it, throwing
+ * std::runtime_error naming the context and key when the key is absent
+ * or the value is malformed or unterminated.
  */
-std::size_t valuePos(const std::string &text, const std::string &key,
-                     const std::string &context, std::size_t from = 0);
 
 double doubleField(const std::string &text, const std::string &key,
-                   const std::string &context, std::size_t from = 0);
+                   const std::string &context);
 
 std::uint64_t uintField(const std::string &text, const std::string &key,
-                        const std::string &context, std::size_t from = 0);
+                        const std::string &context);
 
 /** A string value, with the escapes escape() writes decoded. */
 std::string stringField(const std::string &text, const std::string &key,
-                        const std::string &context, std::size_t from = 0);
+                        const std::string &context);
 
 std::vector<double> doubleArrayField(const std::string &text,
                                      const std::string &key,
-                                     const std::string &context,
-                                     std::size_t from = 0);
+                                     const std::string &context);
 
 std::vector<std::uint64_t> uintArrayField(const std::string &text,
                                           const std::string &key,
-                                          const std::string &context,
-                                          std::size_t from = 0);
-
-/** `["s","s",...]`, each entry decoded as stringField does. */
-std::vector<std::string> stringArrayField(const std::string &text,
-                                          const std::string &key,
-                                          const std::string &context,
-                                          std::size_t from = 0);
+                                          const std::string &context);
 
 } // namespace jsonio
 } // namespace archgym

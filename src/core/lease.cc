@@ -167,12 +167,20 @@ ShardLease::tryAcquire(const std::string &dir, std::size_t shard,
             (now > cur.heartbeatNs && now - cur.heartbeatNs > ttlNs);
         if (!stale)
             return nullptr;  // live owner: shard is busy
-        ::unlink(leasePath.c_str());
-        file = fsio::File::createExclusive(leasePath);
-        if (!file)
-            throw std::runtime_error("lease: cannot recreate " + leasePath +
-                                     ": " + std::strerror(EEXIST));
-        stolen = true;
+        // A peer that finds the shard's finals removes its lease without
+        // this lock, so an unreadable lease may simply be gone: then the
+        // shard is free, not stolen.
+        if (!parsed)
+            file = fsio::File::createExclusive(leasePath);
+        if (!file) {
+            ::unlink(leasePath.c_str());
+            file = fsio::File::createExclusive(leasePath);
+            if (!file)
+                throw std::runtime_error("lease: cannot recreate " +
+                                         leasePath + ": " +
+                                         std::strerror(EEXIST));
+            stolen = true;
+        }
     }
 
     const std::uint64_t nonce = nextNonce();

@@ -16,6 +16,7 @@
  * A claimer that finds an existing lease reads it and judges it:
  *
  *  - unparseable (corrupt) lease        -> stale, steal immediately;
+ *  - gone by the time it is read        -> free, claim without a steal;
  *  - heartbeat older than the TTL       -> owner presumed dead, steal;
  *  - fresh heartbeat                    -> shard is busy, move on.
  *

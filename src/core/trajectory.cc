@@ -288,32 +288,61 @@ Dataset::flattenAgent(const std::string &agent) const
     return out;
 }
 
-std::vector<Transition>
-Dataset::drawFrom(const std::vector<Transition> &pool, std::size_t n,
-                  Rng &rng)
+namespace {
+
+/**
+ * Append n rows drawn uniformly from the rows of `pool`, numbered in
+ * flatten() order: the first n entries of a shuffled index over every
+ * row when n <= rows (without replacement), n below(rows) draws
+ * otherwise. Only the drawn rows are copied out of their logs.
+ */
+void
+drawRows(const std::vector<const TrajectoryLog *> &pool, std::size_t n,
+         Rng &rng, std::vector<Transition> &out)
 {
-    std::vector<Transition> out;
-    out.reserve(n);
-    if (pool.empty())
-        return out;
-    if (n <= pool.size()) {
-        // Sample without replacement via index shuffle prefix.
-        std::vector<std::size_t> idx(pool.size());
+    // starts[k] is pool[k]'s first row. An empty log shares its start
+    // with the next log, so the last log starting at or before a row
+    // (upper_bound - 1) is the one that holds it.
+    std::vector<std::size_t> starts;
+    starts.reserve(pool.size());
+    std::size_t rows = 0;
+    for (const TrajectoryLog *log : pool) {
+        starts.push_back(rows);
+        rows += log->size();
+    }
+    if (rows == 0)
+        return;
+    out.reserve(out.size() + n);
+    const auto copyRow = [&](std::size_t row) {
+        const auto k = static_cast<std::size_t>(
+            std::upper_bound(starts.begin(), starts.end(), row) -
+            starts.begin() - 1);
+        out.push_back((*pool[k])[row - starts[k]]);
+    };
+    if (n <= rows) {
+        std::vector<std::size_t> idx(rows);
         std::iota(idx.begin(), idx.end(), 0);
         rng.shuffle(idx);
         for (std::size_t i = 0; i < n; ++i)
-            out.push_back(pool[idx[i]]);
+            copyRow(idx[i]);
     } else {
         for (std::size_t i = 0; i < n; ++i)
-            out.push_back(pool[rng.below(pool.size())]);
+            copyRow(static_cast<std::size_t>(rng.below(rows)));
     }
-    return out;
 }
+
+} // namespace
 
 std::vector<Transition>
 Dataset::sample(std::size_t n, Rng &rng) const
 {
-    return drawFrom(flatten(), n, rng);
+    std::vector<const TrajectoryLog *> pool;
+    pool.reserve(logs_.size());
+    for (const auto &log : logs_)
+        pool.push_back(&log);
+    std::vector<Transition> out;
+    drawRows(pool, n, rng, out);
+    return out;
 }
 
 void
@@ -399,9 +428,11 @@ Dataset::sampleDiverse(std::size_t n, const std::vector<std::string> &agents,
         // The last agent absorbs the rounding remainder.
         const std::size_t want =
             (i + 1 == agents.size()) ? n - out.size() : share;
-        auto pool = flattenAgent(agents[i]);
-        auto drawn = drawFrom(pool, want, rng);
-        out.insert(out.end(), drawn.begin(), drawn.end());
+        std::vector<const TrajectoryLog *> pool;
+        for (const auto &log : logs_)
+            if (log.agentName() == agents[i])
+                pool.push_back(&log);
+        drawRows(pool, want, rng, out);
     }
     return out;
 }

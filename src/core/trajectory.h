@@ -245,7 +245,8 @@ class Dataset
 
     /**
      * Draw n transitions uniformly at random (without replacement when
-     * n <= available, with replacement otherwise).
+     * n <= available, with replacement otherwise). The draw picks row
+     * numbers in flatten() order and copies out only the drawn rows.
      */
     std::vector<Transition> sample(std::size_t n, Rng &rng) const;
 
@@ -279,9 +280,6 @@ class Dataset
     static Dataset loadDirectory(const std::string &directory);
 
   private:
-    static std::vector<Transition>
-    drawFrom(const std::vector<Transition> &pool, std::size_t n, Rng &rng);
-
     std::vector<TrajectoryLog> logs_;
 };
 

@@ -60,14 +60,13 @@ collectProxyDataset(DramGymEnv &env, std::size_t runs_per_agent,
     return dataset;
 }
 
-namespace {
-
-/** The sweep stage shared by the streamed and columnar collectors. */
-void
-runStreamedCollection(const std::string &directory,
-                      std::size_t runs_per_agent,
-                      std::size_t samples_per_run)
+Dataset
+collectProxyDatasetStreamed(const std::string &directory,
+                            std::size_t runs_per_agent,
+                            std::size_t samples_per_run)
 {
+    fs::remove_all(directory);
+    fs::create_directories(directory);
     const EnvFactory factory = [] {
         return std::unique_ptr<Environment>(
             std::make_unique<DramGymEnv>(proxyEnvOptions()));
@@ -93,37 +92,7 @@ runStreamedCollection(const std::string &directory,
         runSweepSharded(factory, agentName, builder, configs, cfg, opts,
                         7000);
     }
-}
-
-} // namespace
-
-ColumnarDatasetReader
-collectProxyDatasetColumnar(const std::string &directory,
-                            std::size_t runs_per_agent,
-                            std::size_t samples_per_run)
-{
-    const std::string stem = (fs::path(directory) / "columnar").string();
-    if (!fs::exists(ColumnarDatasetWriter::indexPath(stem))) {
-        fs::remove_all(directory);
-        fs::create_directories(directory);
-        runStreamedCollection(directory, runs_per_agent,
-                              samples_per_run);
-        const DramGymEnv env = makeProxyEnv();
-        writeColumnarFromCsvDirectory(directory, stem, env.actionSpace(),
-                                      env.metricNames());
-    }
-    return ColumnarDatasetReader::open(stem);
-}
-
-Dataset
-collectProxyDatasetStreamed(const std::string &directory,
-                            std::size_t runs_per_agent,
-                            std::size_t samples_per_run)
-{
-    fs::remove_all(directory);
-    return collectProxyDatasetColumnar(directory, runs_per_agent,
-                                       samples_per_run)
-        .toDataset();
+    return Dataset::loadDirectory(directory);
 }
 
 std::vector<Transition>

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "core/columnar.h"
 #include "core/trajectory.h"
 #include "envs/dram_gym_env.h"
 
@@ -33,7 +32,7 @@ DramGymEnv makeProxyEnv();
  * Collect `runs_per_agent` exploration runs of `samples_per_run`
  * transitions from each proxy agent (different hyperparameters per
  * run), as the Fig. 9 aggregation pipeline prescribes. Entirely
- * in-memory; see the streamed/columnar variants for the serving path.
+ * in-memory; see collectProxyDatasetStreamed for the on-disk path.
  */
 Dataset collectProxyDataset(DramGymEnv &env, std::size_t runs_per_agent,
                             std::size_t samples_per_run);
@@ -41,28 +40,16 @@ Dataset collectProxyDataset(DramGymEnv &env, std::size_t runs_per_agent,
 /**
  * Streamed variant of collectProxyDataset: every agent's exploration
  * runs go through the sharded sweep engine with trajectory export
- * (per-shard multi-block CSVs under `directory/<agent>/`), the shard
- * CSVs are converted to a columnar pair at `directory/columnar`, and
- * the dataset is re-ingested through the ColumnarDatasetReader — the
- * serving path end to end. Same pool shape as collectProxyDataset
- * (same agents, same hyperparameter draws) but per-run seeds come from
- * the sweep engine's index-only formula.
+ * (per-shard multi-block CSVs under `directory/<agent>/`, after
+ * `directory` is emptied), and the dataset is reloaded from those shard
+ * CSVs through Dataset::loadDirectory — the §3.4 artifact flow end to
+ * end. Same pool shape as collectProxyDataset (same agents, same
+ * hyperparameter draws) but per-run seeds come from the sweep engine's
+ * index-only formula.
  */
 Dataset collectProxyDatasetStreamed(const std::string &directory,
                                     std::size_t runs_per_agent,
                                     std::size_t samples_per_run);
-
-/**
- * The streamed collection pipeline, stopping at the columnar artifact:
- * returns an index-backed reader over `directory/columnar` (running
- * the sweeps and the conversion only when the index does not exist
- * yet). Minibatch training samples through this reader touch only the
- * row groups they hit.
- */
-ColumnarDatasetReader
-collectProxyDatasetColumnar(const std::string &directory,
-                            std::size_t runs_per_agent,
-                            std::size_t samples_per_run);
 
 /** Fresh uniformly random designs evaluated on the simulator. */
 std::vector<Transition> makeHeldOutSet(Environment &env, std::size_t n,

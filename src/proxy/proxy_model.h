@@ -9,9 +9,9 @@
  * source vs. diverse datasets at controlled sizes and measuring held-out
  * RMSE per target.
  *
- * Serving path (columnar datasets, the struct-of-arrays forest arena
- * behind predictBatch, and the screen-then-simulate sweep protocol) is
- * documented in docs/proxy_serving.md.
+ * Serving path (training from the shard CSVs, the struct-of-arrays
+ * forest arena behind predictBatch, and the screen-then-simulate sweep
+ * protocol) is documented in docs/proxy_serving.md.
  */
 
 #ifndef ARCHGYM_PROXY_PROXY_MODEL_H

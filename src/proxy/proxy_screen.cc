@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <stdexcept>
 
-#include "core/columnar.h"
 #include "core/fsio.h"
 #include "core/jsonio.h"
 
@@ -215,36 +214,10 @@ runSweepProxyScreened(const EnvFactory &env_factory,
                                   base_seed, screenSamples, configsHash);
         result.screenReused = true;
     } else {
-        // 2. Train the proxy on the pilot trajectories, through the
-        // columnar serving path (or the reference CSV reader — same
-        // rows by the equivalence contract).
-        std::vector<Transition> trainRows;
-        if (options.columnar) {
-            const std::string stem =
-                (fs::path(options.directory) / "pilot_columnar").string();
-            if (!fs::exists(ColumnarDatasetWriter::indexPath(stem)))
-                writeColumnarFromCsvDirectory(pilotOpts.directory, stem,
-                                              space, metricNames);
-            const auto reader = ColumnarDatasetReader::open(stem);
-            if (options.trainRows != 0 &&
-                options.trainRows < reader.rowCount()) {
-                Rng trainRng(options.forest.seed);
-                trainRows =
-                    reader.sampleTransitions(options.trainRows, trainRng);
-            } else {
-                trainRows = reader.loadAllTransitions();
-            }
-        } else {
-            const Dataset pilotData =
-                Dataset::loadDirectory(pilotOpts.directory);
-            if (options.trainRows != 0 &&
-                options.trainRows < pilotData.transitionCount()) {
-                Rng trainRng(options.forest.seed);
-                trainRows = pilotData.sample(options.trainRows, trainRng);
-            } else {
-                trainRows = pilotData.flatten();
-            }
-        }
+        // 2. Train the proxy on every pilot transition, read back from
+        // the pilot's shard CSVs.
+        const std::vector<Transition> trainRows =
+            Dataset::loadDirectory(pilotOpts.directory).flatten();
         if (trainRows.empty())
             throw std::runtime_error(
                 "runSweepProxyScreened: pilot produced no transitions "

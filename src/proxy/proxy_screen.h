@@ -75,8 +75,7 @@ struct ProxyScreenOptions
 {
     /**
      * Root directory: holds screen.json, the pilot sweep under
-     * pilot/, its columnar conversion pilot_columnar.col{bin,idx},
-     * and the frontier sweep under frontier/.
+     * pilot/, and the frontier sweep under frontier/.
      */
     std::string directory;
 
@@ -99,23 +98,8 @@ struct ProxyScreenOptions
      */
     std::size_t screenSamples = 0;
 
-    /**
-     * Train on at most this many pilot transitions, minibatch-sampled
-     * through the columnar reader; 0 = all pilot transitions.
-     */
-    std::size_t trainRows = 0;
-
-    /** Forest hyperparameters of the proxy (also seeds trainRows
-     *  sampling, so training data is deterministic). */
+    /** Forest hyperparameters of the proxy. */
     ForestConfig forest;
-
-    /**
-     * Train from the columnar conversion of the pilot exports (the
-     * serving path). false falls back to the reference CSV reader —
-     * identical training rows either way, per the columnar
-     * equivalence contract.
-     */
-    bool columnar = true;
 
     /** Passed through to the pilot/frontier sharded sweeps. */
     std::size_t shardSize = 16;
@@ -149,8 +133,8 @@ struct ProxyScreenResult
  *  1. pilot   — runSweepSharded on configs [0, pilotConfigs) with
  *               trajectory export (resumable; base_seed indices align
  *               with the full grid);
- *  2. train   — convert the pilot exports to columnar, train one
- *               forest per metric;
+ *  2. train   — reload every pilot transition from the pilot's shard
+ *               CSVs, train one forest per metric;
  *  3. screen  — run each remaining config's agent against the
  *               ProxyEnvironment (batched inference), rank by proxy
  *               best reward, record the decision in screen.json

@@ -142,15 +142,15 @@ DecisionTree::build(const std::vector<std::vector<double>> &xs,
     indices.clear();
     indices.shrink_to_fit();
 
-    const std::size_t left =
+    // Preorder: the left subtree starts at nodeIndex + 1 (see Node).
+    [[maybe_unused]] const std::size_t left =
         build(xs, ys, leftIdx, depth + 1, config, rng);
+    assert(left == nodeIndex + 1);
     const std::size_t right =
         build(xs, ys, rightIdx, depth + 1, config, rng);
-    nodes_[nodeIndex].leaf = false;
-    nodes_[nodeIndex].feature = bestFeature;
+    nodes_[nodeIndex].feature = static_cast<std::int32_t>(bestFeature);
     nodes_[nodeIndex].threshold = bestThreshold;
-    nodes_[nodeIndex].left = left;
-    nodes_[nodeIndex].right = right;
+    nodes_[nodeIndex].right = static_cast<std::int32_t>(right);
     return nodeIndex;
 }
 
@@ -171,9 +171,11 @@ DecisionTree::predict(const std::vector<double> &x) const
 {
     assert(!nodes_.empty());
     std::size_t n = 0;
-    while (!nodes_[n].leaf) {
-        n = x[nodes_[n].feature] <= nodes_[n].threshold ? nodes_[n].left
-                                                        : nodes_[n].right;
+    while (!nodes_[n].leaf()) {
+        const Node &node = nodes_[n];
+        n = x[node.feature] <= node.threshold
+                ? n + 1
+                : static_cast<std::size_t>(node.right);
     }
     return nodes_[n].value;
 }
@@ -199,29 +201,32 @@ DecisionTree::flattenInto(ForestArena &arena) const
     order.push_back(0);
     std::int32_t next = 1;
     for (std::size_t q = 0; q < order.size(); ++q) {
-        const Node &n = nodes_[order[q]];
-        if (!n.leaf) {
-            remap[n.left] = next;
-            remap[n.right] = next + 1;
+        const std::size_t i = order[q];
+        const Node &n = nodes_[i];
+        if (!n.leaf()) {
+            const auto right = static_cast<std::size_t>(n.right);
+            remap[i + 1] = next;
+            remap[right] = next + 1;
             next += 2;
-            order.push_back(n.left);
-            order.push_back(n.right);
+            order.push_back(i + 1);
+            order.push_back(right);
         }
     }
 
     for (std::size_t q = 0; q < order.size(); ++q) {
-        const Node &n = nodes_[order[q]];
+        const std::size_t i = order[q];
+        const Node &n = nodes_[i];
         const std::int32_t self = base + static_cast<std::int32_t>(q);
-        if (n.leaf) {
+        if (n.leaf()) {
             arena.feature.push_back(0);
             arena.threshold.push_back(
                 std::numeric_limits<double>::infinity());
             arena.left.push_back(self);
             arena.right.push_back(self);
         } else {
-            arena.feature.push_back(static_cast<std::int32_t>(n.feature));
+            arena.feature.push_back(n.feature);
             arena.threshold.push_back(n.threshold);
-            arena.left.push_back(base + remap[n.left]);
+            arena.left.push_back(base + remap[i + 1]);
             arena.right.push_back(base + remap[n.right]);
         }
         arena.value.push_back(n.value);

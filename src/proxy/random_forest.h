@@ -102,14 +102,20 @@ class DecisionTree
     std::size_t depth() const { return depth_; }
 
   private:
+    /**
+     * 24-byte node in preorder: build() emits a split node's left
+     * subtree right after it, so the left child is always the next node
+     * and only the right child is stored. predict() touches one small
+     * record per level, and a left step lands on the adjacent node.
+     */
     struct Node
     {
-        bool leaf = true;
-        std::size_t feature = 0;
         double threshold = 0.0;
-        double value = 0.0;
-        std::size_t left = 0;
-        std::size_t right = 0;
+        double value = 0.0;          ///< node mean; the leaf's prediction
+        std::int32_t feature = -1;   ///< split feature; -1 marks a leaf
+        std::int32_t right = 0;      ///< right child (left child is +1)
+
+        bool leaf() const { return feature < 0; }
     };
 
     std::size_t build(const std::vector<std::vector<double>> &xs,

@@ -15,6 +15,7 @@
 #include <iterator>
 #include <limits>
 #include <mutex>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -384,6 +385,99 @@ TEST(Dataset, SampleDiverseSplitsEvenly)
     Rng rng(10);
     const auto s = ds.sampleDiverse(9, {"ACO", "GA", "RW"}, rng);
     EXPECT_EQ(s.size(), 9u);
+}
+
+/** The draw rule over a flattened pool: the first n of a shuffled index
+ *  without replacement, n below(size) draws with it. */
+std::vector<Transition>
+referenceDraw(const std::vector<Transition> &pool, std::size_t n, Rng &rng)
+{
+    std::vector<Transition> out;
+    if (pool.empty())
+        return out;
+    if (n <= pool.size()) {
+        std::vector<std::size_t> idx(pool.size());
+        std::iota(idx.begin(), idx.end(), 0);
+        rng.shuffle(idx);
+        for (std::size_t i = 0; i < n; ++i)
+            out.push_back(pool[idx[i]]);
+    } else {
+        for (std::size_t i = 0; i < n; ++i)
+            out.push_back(pool[rng.below(pool.size())]);
+    }
+    return out;
+}
+
+void
+expectSameBits(const std::vector<Transition> &got,
+               const std::vector<Transition> &want)
+{
+    const auto bits = [](const Transition &t) {
+        std::vector<std::uint64_t> out;
+        for (const double v : t.action)
+            out.push_back(std::bit_cast<std::uint64_t>(v));
+        for (const double v : t.observation)
+            out.push_back(std::bit_cast<std::uint64_t>(v));
+        out.push_back(std::bit_cast<std::uint64_t>(t.reward));
+        return out;
+    };
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(bits(got[i]), bits(want[i])) << "draw " << i;
+}
+
+TEST(Dataset, SeededDrawsMatchTheFlattenedPool)
+{
+    // Logs of unequal lengths, one of them empty, from three agents;
+    // every row holds distinct values.
+    Dataset ds;
+    const std::pair<const char *, int> shape[] = {
+        {"ACO", 7}, {"GA", 0}, {"RW", 13}, {"ACO", 4}, {"GA", 9}};
+    double v = 0.0;
+    for (const auto &[agent, rows] : shape) {
+        TrajectoryLog log("Env", agent, "");
+        for (int r = 0; r < rows; ++r, v += 1.0)
+            log.append(Transition{{v, -v}, {0.5 * v, -0.0, 1.0 / (v + 3.0)},
+                                  0.25 * v});
+        ds.add(std::move(log));
+    }
+    const std::size_t rows = ds.transitionCount();
+    ASSERT_EQ(rows, 33u);
+
+    // The seeded draw and what it leaves of the Rng stream are the
+    // reference's, below, at and above the row count.
+    for (const std::size_t n : {std::size_t{0}, std::size_t{10}, rows,
+                                rows + 7}) {
+        Rng got(41), want(41);
+        expectSameBits(ds.sample(n, got),
+                       referenceDraw(ds.flatten(), n, want));
+        EXPECT_EQ(got(), want()) << "n=" << n;
+    }
+
+    // Per agent in the given order, the last absorbing the remainder;
+    // "BO" has no logs and draws nothing. At n = 36 GA's share equals
+    // its row count; at n = 60 every share oversamples.
+    const std::vector<std::string> agents = {"GA", "BO", "ACO", "RW"};
+    for (const std::size_t n : {std::size_t{8}, std::size_t{36},
+                                std::size_t{60}}) {
+        Rng got(42), want(42);
+        std::vector<Transition> ref;
+        for (std::size_t i = 0; i < agents.size(); ++i) {
+            const std::size_t share = i + 1 == agents.size()
+                                          ? n - ref.size()
+                                          : n / agents.size();
+            for (auto &t :
+                 referenceDraw(ds.flattenAgent(agents[i]), share, want))
+                ref.push_back(std::move(t));
+        }
+        expectSameBits(ds.sampleDiverse(n, agents, got), ref);
+        EXPECT_EQ(got(), want()) << "n=" << n;
+    }
+
+    // An empty dataset draws nothing and leaves the Rng untouched.
+    Rng got(43), want(43);
+    EXPECT_TRUE(Dataset().sample(5, got).empty());
+    EXPECT_EQ(got(), want());
 }
 
 TEST(Dataset, DirectoryRoundTrip)

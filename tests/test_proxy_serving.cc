@@ -1,19 +1,15 @@
 /**
  * @file
- * Tests for the columnar proxy serving path (docs/proxy_serving.md):
+ * Tests for the proxy serving path (docs/proxy_serving.md):
  *
- *  - columnar writer/reader equivalence against the reference
- *    Dataset::loadDirectory reader (bit-exact — binary doubles both
- *    ways), minibatch sampling determinism and coverage, trajectory
- *    round-trips through toDataset(), and index/data validation;
  *  - RandomForest edge cases (single-sample fit, minSamplesLeaf
  *    boundary) and bit-identity of the SoA predictBatch kernel to the
  *    scalar oracle on randomized forests and awkward cohort sizes;
  *  - ProxyAccuracy NaN sentinels for degenerate inputs and their "n/a"
  *    rendering;
- *  - the proxy-screened sweep: determinism across runs, screen.json
- *    reuse on resume, frontier == top-K of the recorded ranking, and
- *    mismatch detection.
+ *  - the proxy-screened sweep: determinism across runs, training on
+ *    every pilot transition, screen.json reuse on resume, frontier ==
+ *    top-K of the recorded ranking, and mismatch detection.
  */
 
 #include <gtest/gtest.h>
@@ -21,12 +17,10 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <vector>
 
 #include "core/agent.h"
-#include "core/columnar.h"
 #include "core/driver.h"
 #include "core/objective.h"
 #include "core/toy_envs.h"
@@ -80,216 +74,6 @@ syntheticLogs(const ParamSpace &space, const std::vector<std::size_t> &sizes)
         logs.push_back(std::move(log));
     }
     return logs;
-}
-
-/** Write logs as one reference CSV shard under dir; return the dir. */
-std::string
-writeCsvPool(const std::string &dir, const ParamSpace &space,
-             const std::vector<TrajectoryLog> &logs)
-{
-    std::ofstream out(fs::path(dir) / "pool.csv", std::ios::binary);
-    for (const auto &log : logs)
-        log.writeCsv(out, space, kMetrics);
-    return dir;
-}
-
-void
-expectSameTransitions(const std::vector<Transition> &a,
-                      const std::vector<Transition> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].action, b[i].action) << "row " << i;
-        EXPECT_EQ(a[i].observation, b[i].observation) << "row " << i;
-        EXPECT_EQ(a[i].reward, b[i].reward) << "row " << i;
-    }
-}
-
-// --------------------------------------------------------------------
-// Columnar format vs the reference reader
-// --------------------------------------------------------------------
-
-TEST(Columnar, ConvertedDirectoryIsBitIdenticalToReferenceReader)
-{
-    const std::string dir = tempDir("columnar_equiv");
-    const ParamSpace space = smallSpace();
-    writeCsvPool(dir, space, syntheticLogs(space, {9, 1, 30, 4}));
-
-    const std::string stem = (fs::path(dir) / "col").string();
-    const std::size_t rows =
-        writeColumnarFromCsvDirectory(dir, stem, space, kMetrics,
-                                      /*rows_per_group=*/8);
-    const Dataset reference = Dataset::loadDirectory(dir);
-    EXPECT_EQ(rows, reference.transitionCount());
-
-    const auto reader = ColumnarDatasetReader::open(stem);
-    EXPECT_EQ(reader.rowCount(), reference.transitionCount());
-    EXPECT_EQ(reader.actionDims(), space.size());
-    EXPECT_EQ(reader.metricNames(), kMetrics);
-    expectSameTransitions(reader.loadAllTransitions(),
-                          reference.flatten());
-}
-
-TEST(Columnar, ToDatasetRestoresTrajectoryStructure)
-{
-    const std::string dir = tempDir("columnar_todataset");
-    const ParamSpace space = smallSpace();
-    // 30 > rows_per_group forces continuation groups; 1-row logs check
-    // the boundary flags.
-    writeCsvPool(dir, space, syntheticLogs(space, {9, 1, 30, 4}));
-    const std::string stem = (fs::path(dir) / "col").string();
-    writeColumnarFromCsvDirectory(dir, stem, space, kMetrics, 8);
-
-    const Dataset reference = Dataset::loadDirectory(dir);
-    const Dataset round =
-        ColumnarDatasetReader::open(stem).toDataset();
-    ASSERT_EQ(round.logCount(), reference.logCount());
-    for (std::size_t i = 0; i < round.logCount(); ++i) {
-        EXPECT_EQ(round.log(i).envName(), reference.log(i).envName());
-        EXPECT_EQ(round.log(i).agentName(), reference.log(i).agentName());
-        EXPECT_EQ(round.log(i).hyperParams(),
-                  reference.log(i).hyperParams());
-        expectSameTransitions(round.log(i).toTransitions(),
-                              reference.log(i).toTransitions());
-    }
-}
-
-TEST(Columnar, DirectWriterMatchesCsvConversion)
-{
-    const ParamSpace space = smallSpace();
-    const auto logs = syntheticLogs(space, {5, 17, 2});
-
-    const std::string dirA = tempDir("columnar_direct");
-    const std::string stemA = (fs::path(dirA) / "col").string();
-    {
-        ColumnarDatasetWriter writer(stemA, space, kMetrics, 8);
-        for (const auto &log : logs)
-            writer.append(log);
-        writer.close();
-        EXPECT_EQ(writer.rowsWritten(), 5u + 17u + 2u);
-    }
-
-    const std::string dirB = tempDir("columnar_via_csv");
-    writeCsvPool(dirB, space, logs);
-    const std::string stemB = (fs::path(dirB) / "col").string();
-    writeColumnarFromCsvDirectory(dirB, stemB, space, kMetrics, 8);
-
-    // Same trajectories through either entry point -> same bytes.
-    const auto bytes = [](const std::string &path) {
-        std::ifstream in(path, std::ios::binary);
-        return std::string(std::istreambuf_iterator<char>(in), {});
-    };
-    EXPECT_EQ(bytes(ColumnarDatasetWriter::dataPath(stemA)),
-              bytes(ColumnarDatasetWriter::dataPath(stemB)));
-    expectSameTransitions(
-        ColumnarDatasetReader::open(stemA).loadAllTransitions(),
-        ColumnarDatasetReader::open(stemB).loadAllTransitions());
-}
-
-TEST(Columnar, MetricNamesWithControlBytesRoundTrip)
-{
-    const std::string dir = tempDir("columnar_names");
-    const ParamSpace space = smallSpace();
-    const std::vector<std::string> names = {"lat\nency", "p\"o\\w\r\t\x01"};
-    const std::string stem = (fs::path(dir) / "col").string();
-    {
-        ColumnarDatasetWriter writer(stem, space, names, 8);
-        for (const auto &log : syntheticLogs(space, {3}))
-            writer.append(log);
-        writer.close();
-    }
-    EXPECT_EQ(ColumnarDatasetReader::open(stem).metricNames(), names);
-}
-
-TEST(Columnar, GatherRowsReturnsRequestedRowsInOrder)
-{
-    const std::string dir = tempDir("columnar_gather");
-    const ParamSpace space = smallSpace();
-    writeCsvPool(dir, space, syntheticLogs(space, {6, 11, 3}));
-    const std::string stem = (fs::path(dir) / "col").string();
-    writeColumnarFromCsvDirectory(dir, stem, space, kMetrics, 4);
-
-    const auto reader = ColumnarDatasetReader::open(stem);
-    const auto all = reader.loadAllTransitions();
-    const std::vector<std::size_t> want = {19, 0, 7, 7, 12};
-    const TransitionColumns got = reader.gatherRows(want);
-    ASSERT_EQ(got.rows, want.size());
-    for (std::size_t r = 0; r < want.size(); ++r) {
-        const Transition &ref = all[want[r]];
-        for (std::size_t d = 0; d < space.size(); ++d)
-            EXPECT_EQ(got.action(r, d), ref.action[d]);
-        for (std::size_t m = 0; m < kMetrics.size(); ++m)
-            EXPECT_EQ(got.observation(r, m), ref.observation[m]);
-        EXPECT_EQ(got.rewards[r], ref.reward);
-    }
-}
-
-TEST(Columnar, MinibatchIsDeterministicAndWithoutReplacement)
-{
-    const std::string dir = tempDir("columnar_minibatch");
-    const ParamSpace space = smallSpace();
-    writeCsvPool(dir, space, syntheticLogs(space, {8, 8, 8}));
-    const std::string stem = (fs::path(dir) / "col").string();
-    writeColumnarFromCsvDirectory(dir, stem, space, kMetrics, 5);
-    const auto reader = ColumnarDatasetReader::open(stem);
-
-    // Same seed -> same draw, bit-identically.
-    Rng a(77), b(77);
-    const auto drawA = reader.sampleTransitions(10, a);
-    const auto drawB = reader.sampleTransitions(10, b);
-    expectSameTransitions(drawA, drawB);
-
-    // n == rowCount draws every row exactly once (order aside).
-    Rng c(5);
-    const auto full = reader.sampleTransitions(reader.rowCount(), c);
-    auto gotRewards = std::vector<double>();
-    for (const auto &t : full)
-        gotRewards.push_back(t.reward);
-    auto wantRewards = std::vector<double>();
-    for (const auto &t : reader.loadAllTransitions())
-        wantRewards.push_back(t.reward);
-    std::sort(gotRewards.begin(), gotRewards.end());
-    std::sort(wantRewards.begin(), wantRewards.end());
-    EXPECT_EQ(gotRewards, wantRewards);
-
-    // Oversampling falls back to with-replacement, same as
-    // Dataset::sample.
-    Rng d(6);
-    EXPECT_EQ(reader.sampleTransitions(reader.rowCount() + 10, d).size(),
-              reader.rowCount() + 10);
-}
-
-TEST(Columnar, MissingIndexAndCorruptDataAreRejected)
-{
-    const std::string dir = tempDir("columnar_validation");
-    const ParamSpace space = smallSpace();
-    writeCsvPool(dir, space, syntheticLogs(space, {12}));
-    const std::string stem = (fs::path(dir) / "col").string();
-    writeColumnarFromCsvDirectory(dir, stem, space, kMetrics, 4);
-
-    EXPECT_THROW(
-        ColumnarDatasetReader::open((fs::path(dir) / "nope").string()),
-        std::runtime_error);
-
-    // Flip one byte of the data file: the group checksum must catch it.
-    {
-        std::fstream f(ColumnarDatasetWriter::dataPath(stem),
-                       std::ios::in | std::ios::out | std::ios::binary);
-        f.seekg(3);
-        const char byte = static_cast<char>(f.get());
-        f.seekp(3);
-        f.put(static_cast<char>(byte ^ 0x5a));
-    }
-    const auto reader = ColumnarDatasetReader::open(stem);
-    EXPECT_THROW(reader.loadGroup(0), std::runtime_error);
-
-    // A truncated index is rejected at open().
-    {
-        std::ofstream f(ColumnarDatasetWriter::indexPath(stem),
-                        std::ios::trunc);
-        f << "{\"format\":1,\"actionDims\":2";
-    }
-    EXPECT_THROW(ColumnarDatasetReader::open(stem), std::runtime_error);
 }
 
 // --------------------------------------------------------------------
@@ -523,6 +307,11 @@ TEST(ProxyScreen, DeterministicAcrossIndependentRuns)
     EXPECT_EQ(a.frontierSweep.bestRewards, b.frontierSweep.bestRewards);
     EXPECT_EQ(a.frontierSweep.bestActions, b.frontierSweep.bestActions);
 
+    // The proxy trained on every pilot transition: 3 pilot configs of
+    // 12 samples each.
+    EXPECT_EQ(a.trainRowCount, 3u * 12u);
+    EXPECT_EQ(b.trainRowCount, a.trainRowCount);
+
     // Every screened config is ranked, ranking is sorted by reward.
     EXPECT_EQ(a.ranking.size(), fx.configs.size() - 3);
     for (std::size_t i = 1; i < a.screenRewards.size(); ++i)
@@ -582,30 +371,6 @@ TEST(ProxyScreen, MismatchedScreenRecordThrows)
     EXPECT_THROW(runSweepProxyScreened(fx.factory, "Scripted", fx.builder,
                                        fx.configs, fx.runCfg, opts, 21),
                  std::runtime_error);
-}
-
-TEST(ProxyScreen, ColumnarAndCsvTrainingProduceTheSameRanking)
-{
-    ScreenFixture fx;
-    auto colOpts = fx.options(tempDir("screen_columnar"));
-    colOpts.columnar = true;
-    const auto viaColumnar = runSweepProxyScreened(
-        fx.factory, "Scripted", fx.builder, fx.configs, fx.runCfg,
-        colOpts, 21);
-
-    auto csvOpts = fx.options(tempDir("screen_csv"));
-    csvOpts.columnar = false;
-    const auto viaCsv = runSweepProxyScreened(
-        fx.factory, "Scripted", fx.builder, fx.configs, fx.runCfg,
-        csvOpts, 21);
-
-    // The columnar reader feeds the forest the same rows in the same
-    // order as the reference reader, so training — and therefore the
-    // whole screen — is bit-identical.
-    EXPECT_EQ(viaColumnar.ranking, viaCsv.ranking);
-    EXPECT_EQ(viaColumnar.screenRewards, viaCsv.screenRewards);
-    EXPECT_EQ(viaColumnar.frontier, viaCsv.frontier);
-    EXPECT_EQ(viaColumnar.trainRowCount, viaCsv.trainRowCount);
 }
 
 } // namespace
